@@ -63,7 +63,12 @@ void AppendDeltaRow(Database* db, const std::string& table_name) {
     std::exit(1);
   }
   Tuple row = (*table)->rows().front();
-  (*table)->InsertUnchecked(std::move(row));
+  Status inserted = (*table)->InsertUnchecked(std::move(row));
+  if (!inserted.ok()) {
+    std::fprintf(stderr, "delta row rejected: %s\n",
+                 inserted.ToString().c_str());
+    std::exit(1);
+  }
 }
 
 }  // namespace

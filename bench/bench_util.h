@@ -44,13 +44,8 @@ inline int EnvInt(const char* name, int fallback) {
   return std::atoi(value);
 }
 
-/// `shard_count` picks the columnar shard fan-out for every base table;
-/// the default matches Database's own default, so existing call sites keep
-/// measuring the production layout.
-inline std::unique_ptr<Database> MakeDatabase(double scale,
-                                              size_t shard_count = 4) {
+inline std::unique_ptr<Database> MakeDatabase(double scale) {
   auto db = std::make_unique<Database>();
-  db->set_default_shard_count(shard_count);
   tpch::TpchConfig config;
   config.scale_factor = scale;
   Status s = tpch::GenerateTpch(config, db.get());

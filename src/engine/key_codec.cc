@@ -152,9 +152,9 @@ bool NumericFitsWord(const Value& v) {
                                      : v.AsDouble());
 }
 
-void EncodeShardValue(const ColumnarShard& shard, size_t col, size_t pos,
-                      std::string* out) {
-  const ColumnVector& cv = shard.column(col);
+void EncodeColumnValue(const ColumnStore& columns, size_t col, size_t pos,
+                       std::string* out) {
+  const ColumnVector& cv = columns.column(col);
   if (cv.IsNull(pos)) {
     out->push_back(kTagNull);
   } else if (cv.type() == DataType::kString) {
@@ -166,22 +166,12 @@ void EncodeShardValue(const ColumnarShard& shard, size_t col, size_t pos,
   }
 }
 
-void EncodeShardValueDescending(const ColumnarShard& shard, size_t col,
-                                size_t pos, std::string* out) {
-  const size_t start = out->size();
-  EncodeShardValue(shard, col, pos, out);
-  for (size_t i = start; i < out->size(); ++i) {
-    (*out)[i] = static_cast<char>(~static_cast<unsigned char>((*out)[i]));
-  }
-}
-
 bool EncodeTableJoinKey(const Table& table, size_t row,
                         const std::vector<size_t>& cols, std::string* out) {
-  const Table::RowLoc loc = table.row_loc(row);
-  const ColumnarShard& shard = table.shard(loc.shard);
+  const ColumnStore& columns = table.columns();
   for (size_t c : cols) {
-    if (shard.column(c).IsNull(loc.pos)) return false;
-    EncodeShardValue(shard, c, loc.pos, out);
+    if (columns.column(c).IsNull(row)) return false;
+    EncodeColumnValue(columns, c, row, out);
   }
   return true;
 }

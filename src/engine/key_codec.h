@@ -74,23 +74,16 @@ bool EncodeJoinKey(const Tuple& row, const std::vector<size_t>& cols,
 /// DISTINCT identity, where NULL == NULL.
 void EncodeRowKey(const Tuple& row, std::string* out);
 
-/// Appends the encoding of shard cell (col, pos) straight from the typed
-/// column arrays — byte-identical to EncodeValue(shard.ValueAt(col, pos))
-/// with no Value materialized (key_codec_test pins the identity over the
-/// full type corpus, tiebreaker regime included).
-void EncodeShardValue(const ColumnarShard& shard, size_t col, size_t pos,
-                      std::string* out);
+/// Appends the encoding of cell (col, pos) straight from the typed column
+/// arrays — byte-identical to EncodeValue(columns.ValueAt(col, pos)) with
+/// no Value materialized (key_codec_test pins the identity over the full
+/// type corpus, tiebreaker regime included).
+void EncodeColumnValue(const ColumnStore& columns, size_t col, size_t pos,
+                       std::string* out);
 
-/// Descending counterpart (every byte complemented), for sort keys
-/// encoded straight from column data. Byte-identical to
-/// EncodeValueDescending on the materialized Value.
-void EncodeShardValueDescending(const ColumnarShard& shard, size_t col,
-                                size_t pos, std::string* out);
-
-/// Join key for table-global row `row` encoded from the table's columnar
-/// shards — byte-identical to EncodeJoinKey on the materialized tuple,
-/// including the false-on-NULL-key contract. Caller guarantees
-/// table.columnar_exact().
+/// Join key for row `row` encoded from the table's columns —
+/// byte-identical to EncodeJoinKey on the materialized tuple, including
+/// the false-on-NULL-key contract.
 bool EncodeTableJoinKey(const Table& table, size_t row,
                         const std::vector<size_t>& cols, std::string* out);
 

@@ -13,50 +13,35 @@ void ColumnVector::Reserve(size_t additional) {
   nulls_.reserve((target + 63) / 64);
 }
 
-bool ColumnVector::Append(const Value& v) {
+void ColumnVector::Append(const Value& v) {
   const size_t pos = size_++;
   if (type_ == DataType::kString) {
-    if (v.is_null() || !v.is_string()) {
-      offsets_.push_back(pool_.size());
+    offsets_.push_back(pool_.size());
+    if (v.is_null()) {
       lens_.push_back(0);
-      if (v.is_null()) {
-        SetBit(&nulls_, pos);
-        return true;
-      }
-      SetBit(&nulls_, pos);  // placeholder; owner falls back to the row store
-      return false;
+      SetBit(&nulls_, pos);
+      return;
     }
     const std::string& s = v.AsString();
-    offsets_.push_back(pool_.size());
     lens_.push_back(static_cast<uint32_t>(s.size()));
     pool_.append(s);
-    return true;
+    return;
   }
   // Numeric column: raw payload word + subtype bit. Both kInt64 and
   // kDouble columns accept either numeric representation, mirroring the
   // widened type check in Table::Insert.
-  if (v.is_null()) {
-    words_.push_back(0);
-    SetBit(&nulls_, pos);
-    return true;
-  }
   uint64_t word = 0;
-  if (v.is_int64()) {
+  if (v.is_null()) {
+    SetBit(&nulls_, pos);
+  } else if (v.is_int64()) {
     const int64_t i = v.AsInt64();
     std::memcpy(&word, &i, sizeof(word));
-    words_.push_back(word);
     SetBit(&int_cells_, pos);
-    return true;
-  }
-  if (v.is_double()) {
+  } else {
     const double d = v.AsDouble();
     std::memcpy(&word, &d, sizeof(word));
-    words_.push_back(word);
-    return true;
   }
-  words_.push_back(0);
-  SetBit(&nulls_, pos);  // placeholder; owner falls back to the row store
-  return false;
+  words_.push_back(word);
 }
 
 Value ColumnVector::ValueAt(size_t i) const {
@@ -65,32 +50,20 @@ Value ColumnVector::ValueAt(size_t i) const {
   return CellIsInt64(i) ? Value::Int64(Int64At(i)) : Value::Double(DoubleAt(i));
 }
 
-ColumnarShard::ColumnarShard(const TableSchema* schema) {
+ColumnStore::ColumnStore(const TableSchema* schema) {
   columns_.reserve(schema->num_columns());
   for (const ColumnDef& col : schema->columns()) {
     columns_.emplace_back(col.type);
   }
 }
 
-void ColumnarShard::Reserve(size_t additional) {
-  global_ids_.reserve(global_ids_.size() + additional);
+void ColumnStore::Reserve(size_t additional) {
   for (ColumnVector& c : columns_) c.Reserve(additional);
 }
 
-bool ColumnarShard::Append(const Tuple& row, uint64_t global_id) {
-  bool exact = true;
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    exact = columns_[c].Append(row[c]) && exact;
-  }
-  global_ids_.push_back(global_id);
-  return exact;
-}
-
-Tuple ColumnarShard::MaterializeTuple(size_t pos) const {
-  Tuple row;
-  row.mutable_values().reserve(columns_.size());
-  for (const ColumnVector& c : columns_) row.Append(c.ValueAt(pos));
-  return row;
+void ColumnStore::Append(const Tuple& row) {
+  for (size_t c = 0; c < columns_.size(); ++c) columns_[c].Append(row[c]);
+  ++size_;
 }
 
 }  // namespace silkroute

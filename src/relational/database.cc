@@ -5,8 +5,7 @@ namespace silkroute {
 Status Database::CreateTable(TableSchema schema) {
   const std::string name = schema.name();
   SILK_RETURN_IF_ERROR(catalog_.AddTable(schema));
-  tables_.emplace(name, std::make_unique<Table>(std::move(schema),
-                                                default_shard_count_));
+  tables_.emplace(name, std::make_unique<Table>(std::move(schema)));
   return Status::OK();
 }
 

@@ -24,18 +24,8 @@ class Database {
 
   const Catalog& catalog() const { return catalog_; }
 
-  /// Registers the schema and creates an empty table with
-  /// `default_shard_count()` columnar shards.
+  /// Registers the schema and creates an empty table.
   Status CreateTable(TableSchema schema);
-
-  /// Columnar shard count for tables created from here on (existing
-  /// tables keep theirs). Sharding is a pure storage-layout choice — query
-  /// results are byte-identical at any count; the differential harness
-  /// pins {1, 4, 16}. Clamped to >= 1.
-  void set_default_shard_count(size_t count) {
-    default_shard_count_ = count == 0 ? 1 : count;
-  }
-  size_t default_shard_count() const { return default_shard_count_; }
 
   Result<Table*> GetTable(const std::string& name);
   Result<const Table*> GetTable(const std::string& name) const;
@@ -50,9 +40,6 @@ class Database {
  private:
   Catalog catalog_;
   std::map<std::string, std::unique_ptr<Table>> tables_;
-  /// Default 4: every deployment (and every existing test/golden) runs the
-  /// sharded columnar layout, which is what proves it order-transparent.
-  size_t default_shard_count_ = 4;
 };
 
 }  // namespace silkroute

@@ -2,19 +2,11 @@
 
 namespace silkroute {
 
-Table::Table(TableSchema schema, size_t shard_count)
-    : schema_(std::move(schema)) {
+Table::Table(TableSchema schema) : schema_(std::move(schema)) {
   for (const auto& k : schema_.primary_key()) {
     auto idx = schema_.FindColumn(k);
     if (idx) key_indices_.push_back(*idx);
   }
-  // Shard on the primary join column: the leading primary-key column when
-  // one is declared, else column 0. Equality joins against the key then
-  // find all candidate rows co-located in one shard.
-  shard_key_col_ = key_indices_.empty() ? 0 : key_indices_.front();
-  if (shard_count == 0) shard_count = 1;
-  shards_.reserve(shard_count);
-  for (size_t s = 0; s < shard_count; ++s) shards_.emplace_back(&schema_);
 }
 
 Tuple Table::ExtractKey(const Tuple& row) const {
@@ -23,7 +15,7 @@ Tuple Table::ExtractKey(const Tuple& row) const {
   return key;
 }
 
-Status Table::Insert(Tuple row) {
+Status Table::CheckRow(const Tuple& row) const {
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument(
         "arity mismatch inserting into '" + schema_.name() + "': got " +
@@ -59,6 +51,11 @@ Status Table::Insert(Tuple row) {
                                "' of type " + DataTypeToString(col.type));
     }
   }
+  return Status::OK();
+}
+
+Status Table::Insert(Tuple row) {
+  SILK_RETURN_IF_ERROR(CheckRow(row));
   if (!key_indices_.empty()) {
     Tuple key = ExtractKey(row);
     if (key_set_.count(key) != 0) {
@@ -71,29 +68,17 @@ Status Table::Insert(Tuple row) {
   return Status::OK();
 }
 
+Status Table::InsertUnchecked(Tuple row) {
+  SILK_RETURN_IF_ERROR(CheckRow(row));
+  CommitRow(std::move(row));
+  return Status::OK();
+}
+
 void Table::CommitRow(Tuple row) {
   if (!key_indices_.empty()) key_set_.insert(ExtractKey(row));
   // Columnar view first (reads go through rows_ until the version bump
-  // publishes the row, so the shard append is invisible mid-commit). A row
-  // whose arity does not match the schema (possible only through
-  // InsertUnchecked) cannot be laid out columnar; it parks in shard 0 as
-  // all-NULL padding and the table drops to the row-store path for good.
-  const uint64_t global_id = rows_.size();
-  size_t s = 0;
-  if (row.size() == schema_.num_columns()) {
-    s = ShardOf(row[shard_key_col_], shards_.size());
-    columnar_exact_ =
-        shards_[s].Append(row, global_id) && columnar_exact_;
-  } else {
-    Tuple padding;
-    for (size_t c = 0; c < schema_.num_columns(); ++c) {
-      padding.Append(Value::Null());
-    }
-    shards_[0].Append(padding, global_id);
-    columnar_exact_ = false;
-  }
-  row_locs_.push_back({static_cast<uint32_t>(s),
-                       static_cast<uint32_t>(shards_[s].size() - 1)});
+  // publishes the row, so the column append is invisible mid-commit).
+  columns_.Append(row);
   rows_.push_back(std::move(row));
   IndexRow(rows_.size() - 1);
   version_.fetch_add(1, std::memory_order_release);

@@ -3,11 +3,11 @@
 //
 // Storage is dual-representation (DESIGN.md §16): every committed row
 // lands both in the legacy row vector (`rows()`, which borrowed scans,
-// secondary indexes, and intermediate-result copies read) and in N
-// hash-sharded column-major ColumnarShards keyed on the primary join
-// column (which scan+filter morsels and join-key encoding read). The two
-// views are maintained eagerly inside the single CommitRow commit point,
-// so they can never drift and no query-time state transition exists.
+// secondary indexes, and intermediate-result copies read) and in one
+// column-major ColumnStore (which scan filters and join-key encoding
+// read), at the same position. The two views are maintained eagerly
+// inside the single CommitRow commit point, so they can never drift and
+// no query-time state transition exists.
 #ifndef SILKROUTE_RELATIONAL_TABLE_H_
 #define SILKROUTE_RELATIONAL_TABLE_H_
 
@@ -33,32 +33,14 @@ class Table {
   /// Hash index: value -> row positions.
   using Index = std::unordered_multimap<Value, size_t, ValueHash>;
 
-  /// Where a table-global row lives in the sharded columnar view.
-  struct RowLoc {
-    uint32_t shard;
-    uint32_t pos;
-  };
-
-  explicit Table(TableSchema schema, size_t shard_count = 1);
+  explicit Table(TableSchema schema);
 
   const TableSchema& schema() const { return schema_; }
   const std::vector<Tuple>& rows() const { return rows_; }
   size_t num_rows() const { return rows_.size(); }
 
-  /// The sharded columnar view. Shard routing hashes the first primary-key
-  /// column (column 0 when the schema declares no key); NULL keys pool in
-  /// shard 0. Global ids within each shard ascend in insertion order.
-  size_t shard_count() const { return shards_.size(); }
-  const ColumnarShard& shard(size_t i) const { return shards_[i]; }
-  size_t shard_key_column() const { return shard_key_col_; }
-  RowLoc row_loc(size_t global_row) const { return row_locs_[global_row]; }
-
-  /// True while every committed cell is represented exactly in the
-  /// columnar view. An unrepresentable row (wrong arity or a type outside
-  /// the column's domain, possible only through InsertUnchecked) clears
-  /// this permanently and the executor's columnar fast paths step aside —
-  /// the row store remains authoritative either way.
-  bool columnar_exact() const { return columnar_exact_; }
+  /// The columnar view: cell (col, r) is rows()[r][col], exactly.
+  const ColumnStore& columns() const { return columns_; }
 
   /// Monotonic mutation counter: bumped once per committed row, on every
   /// insert path (validated and bulk). Since the store is append-only the
@@ -86,23 +68,22 @@ class Table {
   /// appends the row.
   Status Insert(Tuple row);
 
-  /// Appends without validation. Used by the bulk loader after generation,
-  /// where rows are constructed schema-correct by code. Shares CommitRow
-  /// with Insert, so bulk loads maintain the primary-key set, secondary
-  /// indexes, and the version counter exactly like validated inserts —
-  /// the paths can never drift.
-  void InsertUnchecked(Tuple row) { CommitRow(std::move(row)); }
+  /// Like Insert, but skips the primary-key uniqueness probe. Used by the
+  /// bulk loader, whose generated keys are unique by construction. Arity,
+  /// nullability, and types are still checked (the same CheckRow as
+  /// Insert), so a malformed row is rejected and changes nothing. Shares
+  /// CommitRow with Insert, so bulk loads maintain the primary-key set,
+  /// secondary indexes, and the version counter exactly like validated
+  /// inserts — the paths can never drift.
+  Status InsertUnchecked(Tuple row);
 
-  /// Pre-sizes the row vector, primary-key set, every index, and each
-  /// columnar shard for `expected_rows` additional rows, so a bulk load
+  /// Pre-sizes the row vector, primary-key set, every index, and the
+  /// columnar view for `expected_rows` additional rows, so a bulk load
   /// pays one allocation per container instead of incremental regrowth
-  /// and rehashing. Shards split the budget evenly (hash routing keeps
-  /// them balanced to within noise).
+  /// and rehashing.
   void Reserve(size_t expected_rows) {
     rows_.reserve(rows_.size() + expected_rows);
-    row_locs_.reserve(row_locs_.size() + expected_rows);
-    const size_t per_shard = expected_rows / shards_.size() + 1;
-    for (ColumnarShard& shard : shards_) shard.Reserve(per_shard);
+    columns_.Reserve(expected_rows);
     if (!key_indices_.empty()) {
       key_set_.reserve(key_set_.size() + expected_rows);
     }
@@ -124,20 +105,20 @@ class Table {
   };
 
   Tuple ExtractKey(const Tuple& row) const;
+  /// Arity, nullability, and type-domain check shared by both insert
+  /// paths.
+  Status CheckRow(const Tuple& row) const;
   void IndexRow(size_t row_position);
   /// The single mutation commit point: appends the row to the columnar
-  /// shard it hashes into and to the row view, records its primary key,
-  /// maintains every secondary index, and bumps the version counter —
-  /// all-or-nothing, so version/index/key/shard state stay in lock step
-  /// on every insert path.
+  /// view and to the row view, records its primary key, maintains every
+  /// secondary index, and bumps the version counter — all-or-nothing, so
+  /// version/index/key/column state stay in lock step on every insert
+  /// path. Callers have already run CheckRow.
   void CommitRow(Tuple row);
 
   TableSchema schema_;
   std::vector<Tuple> rows_;
-  std::vector<ColumnarShard> shards_;
-  std::vector<RowLoc> row_locs_;  // global row -> (shard, position)
-  size_t shard_key_col_ = 0;
-  bool columnar_exact_ = true;
+  ColumnStore columns_{&schema_};
   std::vector<size_t> key_indices_;
   std::unordered_set<Tuple, KeyHash> key_set_;
   std::map<size_t, Index> indexes_;  // column position -> index

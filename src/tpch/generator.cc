@@ -92,16 +92,18 @@ Status GenerateTpch(const TpchConfig& config, Database* db) {
   SILK_ASSIGN_OR_RETURN(Table * region, db->GetTable("Region"));
   region->Reserve(counts.region);
   for (size_t i = 0; i < counts.region; ++i) {
-    region->InsertUnchecked(Tuple{Value::Int64(static_cast<int64_t>(i)),
-                                  Value::String(kRegionNames[i])});
+    SILK_RETURN_IF_ERROR(region->InsertUnchecked(
+        Tuple{Value::Int64(static_cast<int64_t>(i)),
+              Value::String(kRegionNames[i])}));
   }
 
   SILK_ASSIGN_OR_RETURN(Table * nation, db->GetTable("Nation"));
   nation->Reserve(counts.nation);
   for (size_t i = 0; i < counts.nation; ++i) {
-    nation->InsertUnchecked(Tuple{Value::Int64(static_cast<int64_t>(i)),
-                                  Value::String(kNations[i].name),
-                                  Value::Int64(kNations[i].regionkey)});
+    SILK_RETURN_IF_ERROR(nation->InsertUnchecked(
+        Tuple{Value::Int64(static_cast<int64_t>(i)),
+              Value::String(kNations[i].name),
+              Value::Int64(kNations[i].regionkey)}));
   }
 
   // Suppliers. A leading fraction never receives parts so that the
@@ -111,18 +113,18 @@ Status GenerateTpch(const TpchConfig& config, Database* db) {
   const size_t num_childless_suppliers = static_cast<size_t>(
       static_cast<double>(counts.supplier) * config.supplier_no_parts_fraction);
   for (size_t i = 1; i <= counts.supplier; ++i) {
-    supplier->InsertUnchecked(
+    SILK_RETURN_IF_ERROR(supplier->InsertUnchecked(
         Tuple{Value::Int64(static_cast<int64_t>(i)),
               Value::String(StringPrintf("Supplier#%07zu", i)),
               Value::String(rng.NextString(
                   static_cast<size_t>(rng.Uniform(15, 30)))),
-              Value::Int64(rng.Uniform(0, 24))});
+              Value::Int64(rng.Uniform(0, 24))}));
   }
 
   SILK_ASSIGN_OR_RETURN(Table * part, db->GetTable("Part"));
   part->Reserve(counts.part);
   for (size_t i = 1; i <= counts.part; ++i) {
-    part->InsertUnchecked(Tuple{
+    SILK_RETURN_IF_ERROR(part->InsertUnchecked(Tuple{
         Value::Int64(static_cast<int64_t>(i)), Value::String(PartName(&rng)),
         Value::String(StringPrintf("Mfgr#%lld",
                                    static_cast<long long>(rng.Uniform(1, 5)))),
@@ -130,7 +132,7 @@ Status GenerateTpch(const TpchConfig& config, Database* db) {
                                    static_cast<long long>(rng.Uniform(1, 5)),
                                    static_cast<long long>(rng.Uniform(1, 5)))),
         Value::Int64(rng.Uniform(1, 50)),
-        Value::Double(900.0 + rng.NextDouble() * 100.0)});
+        Value::Double(900.0 + rng.NextDouble() * 100.0)}));
   }
 
   // PartSupp: each part gets 2 distinct suppliers drawn from suppliers that
@@ -147,9 +149,10 @@ Status GenerateTpch(const TpchConfig& config, Database* db) {
     int64_t s2 = rng.Uniform(first_eligible, last_supplier);
     if (s2 == s1) s2 = (s2 < last_supplier) ? s2 + 1 : first_eligible;
     for (int64_t s : {s1, s2}) {
-      partsupp->InsertUnchecked(Tuple{Value::Int64(static_cast<int64_t>(p)),
-                                      Value::Int64(s),
-                                      Value::Int64(rng.Uniform(1, 9999))});
+      SILK_RETURN_IF_ERROR(partsupp->InsertUnchecked(
+          Tuple{Value::Int64(static_cast<int64_t>(p)),
+                Value::Int64(s),
+                Value::Int64(rng.Uniform(1, 9999))}));
       partsupp_pairs.emplace_back(static_cast<int64_t>(p), s);
     }
   }
@@ -157,24 +160,25 @@ Status GenerateTpch(const TpchConfig& config, Database* db) {
   SILK_ASSIGN_OR_RETURN(Table * customer, db->GetTable("Customer"));
   customer->Reserve(counts.customer);
   for (size_t i = 1; i <= counts.customer; ++i) {
-    customer->InsertUnchecked(
+    SILK_RETURN_IF_ERROR(customer->InsertUnchecked(
         Tuple{Value::Int64(static_cast<int64_t>(i)),
               Value::String(StringPrintf("Customer#%09zu", i)),
               Value::String(rng.NextString(
                   static_cast<size_t>(rng.Uniform(15, 30)))),
               Value::Int64(rng.Uniform(0, 24)),
-              Value::String(PhoneString(&rng))});
+              Value::String(PhoneString(&rng))}));
   }
 
   SILK_ASSIGN_OR_RETURN(Table * orders, db->GetTable("Orders"));
   orders->Reserve(counts.orders);
   for (size_t i = 1; i <= counts.orders; ++i) {
-    orders->InsertUnchecked(
+    SILK_RETURN_IF_ERROR(orders->InsertUnchecked(
         Tuple{Value::Int64(static_cast<int64_t>(i)),
-              Value::Int64(rng.Uniform(1, static_cast<int64_t>(counts.customer))),
+              Value::Int64(
+                  rng.Uniform(1, static_cast<int64_t>(counts.customer))),
               Value::String(kOrderStatus[rng.Uniform(0, 2)]),
               Value::Double(1000.0 + rng.NextDouble() * 99000.0),
-              Value::String(DateString(&rng))});
+              Value::String(DateString(&rng))}));
   }
 
   // LineItem: 1-7 line items per order, each referencing a partsupp pair
@@ -207,11 +211,11 @@ Status GenerateTpch(const TpchConfig& config, Database* db) {
       if (pair == nullptr) continue;  // tiny databases: skip extra items
       used_suppliers.push_back(pair->second);
       ++lno;
-      lineitem->InsertUnchecked(
+      SILK_RETURN_IF_ERROR(lineitem->InsertUnchecked(
           Tuple{Value::Int64(static_cast<int64_t>(o)),
                 Value::Int64(pair->first), Value::Int64(pair->second),
                 Value::Int64(lno), Value::Int64(rng.Uniform(1, 50)),
-                Value::Double(10.0 + rng.NextDouble() * 990.0)});
+                Value::Double(10.0 + rng.NextDouble() * 990.0)}));
     }
   }
   return Status::OK();

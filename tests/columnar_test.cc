@@ -1,30 +1,27 @@
-// Tests for the sharded columnar base storage (DESIGN.md §16):
+// Tests for the columnar base storage (DESIGN.md §16):
 //
 //  - ColumnVector round-trips: null bitmap + exact Value identity for
 //    every value type a column can hold, including int64 cells inside a
 //    kDouble column, -0.0 vs 0.0 bit patterns, and the ±2^53 tiebreaker
 //    magnitudes;
 //  - string-pool stability under interleaved Reserve/append growth;
-//  - shard routing: equal-comparing representations co-locate, NULL keys
-//    pool in shard 0;
-//  - Table's dual representation: ascending global ids per shard,
-//    row_loc round-trips, exact tuple materialization at any shard count;
-//  - version()/RowsAppendedSince semantics across shards — the result
-//    cache's freshness key must go conservatively stale on every commit,
-//    never wrongly fresh;
-//  - the columnar_exact escape hatch: an InsertUnchecked row the columnar
-//    layout cannot represent drops the table to the row-store path for
-//    good while queries stay correct;
-//  - a seeded mutation-interleaved republish harness over a 16-shard
-//    database (mirror of result_cache_test.cc): warm cached publishes
-//    must stay byte-identical to fresh uncached ones while a writer
-//    appends rows between publishes.
+//  - Table's dual representation: column position == row id, exact tuple
+//    materialization;
+//  - version()/RowsAppendedSince semantics — the result cache's freshness
+//    key must go conservatively stale on every commit, never wrongly
+//    fresh;
+//  - both insert paths reject a malformed row (wrong arity, NULL in a
+//    non-nullable column, a value outside the column's type) and leave
+//    rows, columns, version, and indexes untouched;
+//  - a seeded mutation-interleaved republish harness (mirror of
+//    result_cache_test.cc): warm cached publishes must stay byte-identical
+//    to fresh uncached ones while a writer appends rows between
+//    publishes.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 #include <random>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -69,7 +66,7 @@ TEST(ColumnVectorTest, NullBitmapRoundTripsEveryValueType) {
         Value::Int64(INT64_MIN), Value::Int64(INT64_MAX), Value::Null(),
         Value::Int64((int64_t{1} << 53) + 1),
         Value::Int64(-(int64_t{1} << 53) - 1)};
-    for (const Value& v : corpus) EXPECT_TRUE(cv.Append(v));
+    for (const Value& v : corpus) cv.Append(v);
     ASSERT_EQ(cv.size(), corpus.size());
     for (size_t i = 0; i < corpus.size(); ++i) {
       EXPECT_EQ(cv.IsNull(i), corpus[i].is_null()) << "cell " << i;
@@ -89,7 +86,7 @@ TEST(ColumnVectorTest, NullBitmapRoundTripsEveryValueType) {
         Value::Double(-1e300), Value::Double(9007199254740994.0),
         Value::Int64(3), Value::Double(3.0), Value::Null(),
         Value::Int64((int64_t{1} << 53) + 1)};
-    for (const Value& v : corpus) EXPECT_TRUE(cv.Append(v));
+    for (const Value& v : corpus) cv.Append(v);
     ASSERT_EQ(cv.size(), corpus.size());
     for (size_t i = 0; i < corpus.size(); ++i) {
       EXPECT_EQ(cv.IsNull(i), corpus[i].is_null()) << "cell " << i;
@@ -111,7 +108,7 @@ TEST(ColumnVectorTest, NullBitmapRoundTripsEveryValueType) {
         Value::String(""), Value::Null(), Value::String("abc"),
         Value::String(std::string("a\0b", 3)), Value::Null(),
         Value::String(std::string(1000, 'x'))};
-    for (const Value& v : corpus) EXPECT_TRUE(cv.Append(v));
+    for (const Value& v : corpus) cv.Append(v);
     ASSERT_EQ(cv.size(), corpus.size());
     for (size_t i = 0; i < corpus.size(); ++i) {
       EXPECT_EQ(cv.IsNull(i), corpus[i].is_null()) << "cell " << i;
@@ -133,7 +130,7 @@ TEST(ColumnVectorTest, StringPoolStableUnderReserveAndAppendGrowth) {
       std::string s = "r" + std::to_string(round) + ":" + std::to_string(i) +
                       std::string(static_cast<size_t>(i % 37), 'p');
       expected.push_back(s);
-      ASSERT_TRUE(cv.Append(Value::String(std::move(s))));
+      cv.Append(Value::String(std::move(s)));
     }
     for (size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(cv.StringAt(i), expected[i]) << "cell " << i << " after round "
@@ -142,26 +139,12 @@ TEST(ColumnVectorTest, StringPoolStableUnderReserveAndAppendGrowth) {
   }
 }
 
-TEST(ShardRoutingTest, EqualComparingKeysCoLocateAndNullsPoolInShardZero) {
-  for (size_t shards : {1u, 4u, 16u}) {
-    EXPECT_EQ(ShardOf(Value::Null(), shards), 0u);
-    // 3 and 3.0 compare equal (Value::Compare widening) and must co-locate
-    // so an equality join never needs to look at two shards for one key.
-    EXPECT_EQ(ShardOf(Value::Int64(3), shards),
-              ShardOf(Value::Double(3.0), shards));
-    // The two zeros compare equal; Value::Hash normalizes -0.0.
-    EXPECT_EQ(ShardOf(Value::Double(0.0), shards),
-              ShardOf(Value::Double(-0.0), shards));
-    EXPECT_LT(ShardOf(Value::String("abc"), shards), shards);
-  }
-}
-
-std::unique_ptr<Table> MakeMixedTable(size_t shard_count, size_t rows) {
+std::unique_ptr<Table> MakeMixedTable(size_t rows) {
   TableSchema schema("t", {{"k", DataType::kInt64, /*nullable=*/true},
                            {"d", DataType::kDouble, true},
                            {"s", DataType::kString, true}});
-  auto table = std::make_unique<Table>(std::move(schema), shard_count);
-  std::mt19937 rng(7u + static_cast<uint32_t>(shard_count));
+  auto table = std::make_unique<Table>(std::move(schema));
+  std::mt19937 rng(8u);
   for (size_t r = 0; r < rows; ++r) {
     Tuple row{
         rng() % 5 == 0 ? Value::Null()
@@ -178,132 +161,93 @@ std::unique_ptr<Table> MakeMixedTable(size_t shard_count, size_t rows) {
   return table;
 }
 
-TEST(ShardedTableTest, GlobalIdsAscendAndMaterializationIsExact) {
-  for (size_t shard_count : {1u, 4u, 16u}) {
-    auto table = MakeMixedTable(shard_count, 300);
-    ASSERT_EQ(table->shard_count(), shard_count);
-    EXPECT_TRUE(table->columnar_exact());
-
-    std::set<uint64_t> seen;
-    size_t total = 0;
-    for (size_t s = 0; s < shard_count; ++s) {
-      const ColumnarShard& shard = table->shard(s);
-      total += shard.size();
-      uint64_t prev = 0;
-      bool first = true;
-      for (size_t pos = 0; pos < shard.size(); ++pos) {
-        const uint64_t gid = shard.global_id(pos);
-        if (!first) {
-          EXPECT_GT(gid, prev) << "shard " << s << " pos " << pos;
-        }
-        first = false;
-        prev = gid;
-        EXPECT_TRUE(seen.insert(gid).second) << "duplicate global id " << gid;
-        // Exact per-cell and whole-tuple round-trips vs the row store.
-        const Tuple& row = table->rows()[gid];
-        const Tuple mat = shard.MaterializeTuple(pos);
-        ASSERT_EQ(mat.size(), row.size());
-        for (size_t c = 0; c < row.size(); ++c) {
-          EXPECT_TRUE(ValueIdentical(shard.ValueAt(c, pos), row.values()[c]))
-              << "shard " << s << " pos " << pos << " col " << c;
-          EXPECT_TRUE(ValueIdentical(mat.values()[c], row.values()[c]));
-        }
-      }
-    }
-    EXPECT_EQ(total, table->num_rows());
-    EXPECT_EQ(seen.size(), table->num_rows());
-    // row_loc is the inverse mapping.
-    for (size_t g = 0; g < table->num_rows(); ++g) {
-      const Table::RowLoc loc = table->row_loc(g);
-      ASSERT_LT(loc.shard, shard_count);
-      ASSERT_LT(loc.pos, table->shard(loc.shard).size());
-      EXPECT_EQ(table->shard(loc.shard).global_id(loc.pos), g);
+TEST(TableColumnsTest, PositionIsRowIdAndCellsAreExact) {
+  auto table = MakeMixedTable(300);
+  const ColumnStore& columns = table->columns();
+  ASSERT_EQ(columns.size(), table->num_rows());
+  ASSERT_EQ(columns.num_columns(), table->schema().num_columns());
+  for (size_t r = 0; r < table->num_rows(); ++r) {
+    // Exact per-cell round-trips vs the row store.
+    const Tuple& row = table->rows()[r];
+    for (size_t c = 0; c < row.size(); ++c) {
+      EXPECT_TRUE(ValueIdentical(columns.ValueAt(c, r), row.values()[c]))
+          << "row " << r << " col " << c;
     }
   }
 }
 
-TEST(ShardedTableTest, VersionAndDeltaSemanticsAreShardCountInvariant) {
-  for (size_t shard_count : {1u, 4u, 16u}) {
-    auto table = MakeMixedTable(shard_count, 50);
-    const uint64_t v0 = table->version();
-    EXPECT_EQ(v0, 50u);  // one bump per committed row, any layout
-    EXPECT_EQ(table->RowsAppendedSince(v0), 0u);
+TEST(TableColumnsTest, VersionAndDeltaSemantics) {
+  auto table = MakeMixedTable(50);
+  const uint64_t v0 = table->version();
+  EXPECT_EQ(v0, 50u);  // one bump per committed row
+  EXPECT_EQ(table->RowsAppendedSince(v0), 0u);
 
-    // Every commit path (validated and unchecked) must move the version,
-    // so a cache key snapshotted before the write can only go stale —
-    // never wrongly fresh.
-    Tuple copy = table->rows()[0];
-    table->InsertUnchecked(std::move(copy));
-    EXPECT_EQ(table->version(), v0 + 1);
-    EXPECT_EQ(table->RowsAppendedSince(v0), 1u);
-    ASSERT_TRUE(table
-                    ->Insert(Tuple{Value::Int64(1), Value::Double(2.0),
-                                   Value::String("x")})
-                    .ok());
-    EXPECT_EQ(table->version(), v0 + 2);
-    EXPECT_EQ(table->RowsAppendedSince(v0), 2u);
-    // A snapshot at or past the current high-water mark reads an empty
-    // delta; one from any earlier point reads every later row.
-    EXPECT_EQ(table->RowsAppendedSince(table->version()), 0u);
-    EXPECT_EQ(table->RowsAppendedSince(0), table->num_rows());
-  }
+  // Every commit path (validated and unchecked) must move the version,
+  // so a cache key snapshotted before the write can only go stale —
+  // never wrongly fresh.
+  Tuple copy = table->rows()[0];
+  ASSERT_TRUE(table->InsertUnchecked(std::move(copy)).ok());
+  EXPECT_EQ(table->version(), v0 + 1);
+  EXPECT_EQ(table->RowsAppendedSince(v0), 1u);
+  ASSERT_TRUE(table
+                  ->Insert(Tuple{Value::Int64(1), Value::Double(2.0),
+                                 Value::String("x")})
+                  .ok());
+  EXPECT_EQ(table->version(), v0 + 2);
+  EXPECT_EQ(table->RowsAppendedSince(v0), 2u);
+  EXPECT_EQ(table->columns().size(), table->num_rows());
+  // A snapshot at or past the current high-water mark reads an empty
+  // delta; one from any earlier point reads every later row.
+  EXPECT_EQ(table->RowsAppendedSince(table->version()), 0u);
+  EXPECT_EQ(table->RowsAppendedSince(0), table->num_rows());
 }
 
-TEST(ShardedTableTest, UnrepresentableRowDropsToRowStoreForGood) {
+TEST(TableColumnsTest, MalformedRowIsRejectedOnBothInsertPaths) {
   TableSchema schema("t", {{"a", DataType::kInt64, /*nullable=*/true},
-                           {"b", DataType::kString, true}});
+                           {"b", DataType::kString, /*nullable=*/false}});
   Database db;
-  db.set_default_shard_count(4);
   ASSERT_TRUE(db.CreateTable(std::move(schema)).ok());
   Table* table = *db.GetTable("t");
+  ASSERT_TRUE(table->CreateIndex("a").ok());
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(table
                     ->Insert(Tuple{Value::Int64(i % 5),
                                    Value::String("v" + std::to_string(i))})
                     .ok());
   }
-  ASSERT_TRUE(table->columnar_exact());
+  const uint64_t version = table->version();
+  const size_t rows = table->num_rows();
+  const size_t indexed = table->GetIndex("a")->size();
 
-  // A wrong-arity row and a type-smuggled row, both only possible through
-  // the unchecked path. Each must clear columnar_exact permanently while
-  // keeping shard positions aligned (placeholder NULL rows).
-  table->InsertUnchecked(Tuple{Value::Int64(99)});  // arity 1 != 2
-  EXPECT_FALSE(table->columnar_exact());
-  table->InsertUnchecked(Tuple{Value::String("not an int"), Value::Int64(7)});
-  EXPECT_FALSE(table->columnar_exact());
-  size_t total = 0;
-  for (size_t s = 0; s < table->shard_count(); ++s) {
-    total += table->shard(s).size();
-  }
-  EXPECT_EQ(total, table->num_rows());
-  for (size_t g = 0; g < table->num_rows(); ++g) {
-    const Table::RowLoc loc = table->row_loc(g);
-    EXPECT_EQ(table->shard(loc.shard).global_id(loc.pos), g);
+  const std::vector<Tuple> malformed = {
+      Tuple{Value::Int64(99)},                                  // arity
+      Tuple{Value::String("not an int"), Value::String("x")},  // type
+      Tuple{Value::Int64(3), Value::Int64(7)},                 // type
+      Tuple{Value::Int64(3), Value::Null()},                   // NOT NULL
+  };
+  for (size_t i = 0; i < malformed.size(); ++i) {
+    EXPECT_FALSE(table->InsertUnchecked(malformed[i]).ok()) << "row " << i;
+    EXPECT_FALSE(table->Insert(malformed[i]).ok()) << "row " << i;
+    EXPECT_EQ(table->version(), version) << "row " << i;
+    EXPECT_EQ(table->num_rows(), rows) << "row " << i;
+    EXPECT_EQ(table->columns().size(), rows) << "row " << i;
+    EXPECT_EQ(table->GetIndex("a")->size(), indexed) << "row " << i;
   }
 
-  // Queries (scan + filter + projection) must be served correctly from
-  // the authoritative row store now that the columnar paths stepped aside.
+  // The table still serves queries from both representations.
   engine::QueryExecutor executor(&db);
-  auto result = executor.ExecuteSql("SELECT t.a FROM t WHERE t.a = 3");
+  auto result = executor.ExecuteSql("SELECT t.b FROM t WHERE t.a = 3");
   ASSERT_TRUE(result.ok()) << result.status();
-  size_t expected = 0;
-  for (const Tuple& row : table->rows()) {
-    if (row.size() == 2 && row.values()[0].is_int64() &&
-        row.values()[0].AsInt64() == 3) {
-      ++expected;
-    }
-  }
-  EXPECT_EQ(result->rows.size(), expected);
-  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(result->rows.size(), 4u);
 }
 
 }  // namespace
 }  // namespace silkroute
 
 // ---------------------------------------------------------------------------
-// End to end: seeded mutation-interleaved republish over a 16-shard
-// database (mirror of result_cache_test.cc's harness, storage-layout
-// edition: every publish reads through the columnar scan/join paths).
+// End to end: seeded mutation-interleaved republish (mirror of
+// result_cache_test.cc's harness, storage-layout edition: every publish
+// reads through the columnar scan/join paths).
 // ---------------------------------------------------------------------------
 
 namespace silkroute::core {
@@ -312,7 +256,7 @@ namespace {
 using testutil::MakeTinyTpch;
 
 TEST(ColumnarE2ETest, MutationInterleavedRepublishStaysByteIdentical) {
-  auto db = MakeTinyTpch(0.001, /*shard_count=*/16);
+  auto db = MakeTinyTpch(0.001);
   Publisher publisher(db.get());
 
   engine::ResultCache cache(engine::ResultCache::Options{8 << 20, 4, nullptr});
@@ -340,7 +284,7 @@ TEST(ColumnarE2ETest, MutationInterleavedRepublishStaysByteIdentical) {
       ASSERT_TRUE(table.ok());
       if ((*table)->num_rows() > 0) {
         Tuple row = (*table)->rows()[rng() % (*table)->num_rows()];
-        (*table)->InsertUnchecked(std::move(row));
+        ASSERT_TRUE((*table)->InsertUnchecked(std::move(row)).ok());
         ++mutations;
       }
     }

@@ -213,15 +213,14 @@ TEST(FuzzTest, TupleDecoderNeverCrashes) {
                     valid);
 }
 
-// --- CSV bulk load into sharded columnar storage --------------------------
+// --- CSV bulk load into columnar storage ----------------------------------
 // The loader is the one path where external bytes become column cells, so
-// corruption must surface as a Status before any shard invariant can bend:
-// a partial load (rows before the bad line) must leave the table with its
-// dual representation intact and columnar_exact still true.
+// corruption must surface as a Status before any column invariant can
+// bend: a partial load (rows before the bad line) must leave the table
+// with its dual representation intact.
 
 std::unique_ptr<Database> MakeCsvTarget() {
   auto db = std::make_unique<Database>();
-  db->set_default_shard_count(4);
   TableSchema schema("Part", {{"partkey", DataType::kInt64, false},
                               {"weight", DataType::kDouble, true},
                               {"name", DataType::kString, true}});
@@ -230,8 +229,8 @@ std::unique_ptr<Database> MakeCsvTarget() {
   return db;
 }
 
-/// Attempts the load and checks that however it ended, the table's shard
-/// decomposition still tiles the row store exactly.
+/// Attempts the load and checks that however it ended, the table's columns
+/// still mirror the row store cell for cell.
 void LoadAndCheckInvariants(const std::string& csv) {
   auto db = MakeCsvTarget();
   std::istringstream in(csv);
@@ -240,15 +239,13 @@ void LoadAndCheckInvariants(const std::string& csv) {
   if (loaded.ok()) {
     ASSERT_EQ(*loaded, table->num_rows());
   }
-  ASSERT_TRUE(table->columnar_exact());  // validated inserts only
-  size_t total = 0;
-  for (size_t s = 0; s < table->shard_count(); ++s) {
-    total += table->shard(s).size();
-  }
-  ASSERT_EQ(total, table->num_rows());
+  const ColumnStore& columns = table->columns();
+  ASSERT_EQ(columns.size(), table->num_rows());
   for (size_t g = 0; g < table->num_rows(); ++g) {
-    const Table::RowLoc loc = table->row_loc(g);
-    ASSERT_EQ(table->shard(loc.shard).global_id(loc.pos), g);
+    const Tuple& row = table->rows()[g];
+    for (size_t c = 0; c < row.size(); ++c) {
+      ASSERT_EQ(columns.ValueAt(c, g), row.values()[c]) << "row " << g;
+    }
   }
 }
 
@@ -284,7 +281,7 @@ TEST(FuzzTest, CsvColumnarLoaderRejectsCorruptionClasses) {
   // NULL into a non-nullable key column.
   must_reject("partkey,weight,name\n,1.5,widget\n");
   // Overlong string fields are data, not corruption: they must load and
-  // round-trip through the shard string pool.
+  // round-trip through the column string pool.
   {
     auto db = MakeCsvTarget();
     const std::string big(1 << 20, 'x');
@@ -292,8 +289,7 @@ TEST(FuzzTest, CsvColumnarLoaderRejectsCorruptionClasses) {
     auto loaded = LoadCsv(&in, CsvLoadOptions{}, "Part", db.get());
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     Table* table = *db->GetTable("Part");
-    const Table::RowLoc loc = table->row_loc(0);
-    EXPECT_EQ(table->shard(loc.shard).ValueAt(2, loc.pos).AsString(), big);
+    EXPECT_EQ(table->columns().ValueAt(2, 0).AsString(), big);
   }
 }
 

@@ -260,8 +260,8 @@ TEST(KeyCodecTest, OrderedNumericBitsMatchesCompare) {
   }
 }
 
-// --- Column-array encoding (the shard fast path) --------------------------
-// EncodeShardValue reads cells straight out of ColumnVector storage instead
+// --- Column-array encoding (the columnar fast path) -----------------------
+// EncodeColumnValue reads cells straight out of ColumnVector storage instead
 // of materializing a Value; the executor mixes both paths freely inside one
 // hash join (row-store probe vs columnar build), so the two encoders must be
 // byte-identical over the full type corpus — including int64 cells smuggled
@@ -270,7 +270,7 @@ TEST(KeyCodecTest, OrderedNumericBitsMatchesCompare) {
 /// A 3-column table whose rows sweep every corpus value through the column
 /// type that can hold it (ints also pass through the kDouble column, where
 /// the exact subtype must survive encoding).
-std::unique_ptr<Table> MakeCorpusTable(size_t shard_count) {
+std::unique_ptr<Table> MakeCorpusTable() {
   constexpr int64_t kExact = int64_t{1} << 53;
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<Value> ints = {
@@ -292,7 +292,7 @@ std::unique_ptr<Table> MakeCorpusTable(size_t shard_count) {
   TableSchema schema("corpus", {{"i", DataType::kInt64, /*nullable=*/true},
                                 {"d", DataType::kDouble, true},
                                 {"s", DataType::kString, true}});
-  auto table = std::make_unique<Table>(std::move(schema), shard_count);
+  auto table = std::make_unique<Table>(std::move(schema));
   const size_t n = ints.size() * nums.size() * strs.size() / 7;
   for (size_t r = 0; r < n; ++r) {
     EXPECT_TRUE(table
@@ -301,30 +301,19 @@ std::unique_ptr<Table> MakeCorpusTable(size_t shard_count) {
                                    strs[(r * 3) % strs.size()]})
                     .ok());
   }
-  EXPECT_TRUE(table->columnar_exact());
   return table;
 }
 
-TEST(KeyCodecTest, ShardEncodingIsByteIdenticalToValueEncoding) {
-  for (size_t shard_count : {1u, 4u, 16u}) {
-    auto table = MakeCorpusTable(shard_count);
-    for (size_t g = 0; g < table->num_rows(); ++g) {
-      const Table::RowLoc loc = table->row_loc(g);
-      const ColumnarShard& shard = table->shard(loc.shard);
-      for (size_t c = 0; c < 3; ++c) {
-        const Value& v = table->rows()[g].values()[c];
-        std::string from_value, from_column;
-        EncodeValue(v, &from_value);
-        EncodeShardValue(shard, c, loc.pos, &from_column);
-        EXPECT_EQ(from_column, from_value)
-            << "shards=" << shard_count << " row " << g << " col " << c
-            << " value " << v;
-        std::string desc_value, desc_column;
-        EncodeValueDescending(v, &desc_value);
-        EncodeShardValueDescending(shard, c, loc.pos, &desc_column);
-        EXPECT_EQ(desc_column, desc_value)
-            << "DESC shards=" << shard_count << " row " << g << " col " << c;
-      }
+TEST(KeyCodecTest, ColumnEncodingIsByteIdenticalToValueEncoding) {
+  auto table = MakeCorpusTable();
+  for (size_t g = 0; g < table->num_rows(); ++g) {
+    for (size_t c = 0; c < 3; ++c) {
+      const Value& v = table->rows()[g].values()[c];
+      std::string from_value, from_column;
+      EncodeValue(v, &from_value);
+      EncodeColumnValue(table->columns(), c, g, &from_column);
+      EXPECT_EQ(from_column, from_value)
+          << "row " << g << " col " << c << " value " << v;
     }
   }
 }
@@ -332,20 +321,15 @@ TEST(KeyCodecTest, ShardEncodingIsByteIdenticalToValueEncoding) {
 TEST(KeyCodecTest, TableJoinKeyMatchesTupleJoinKeyIncludingNullRefusal) {
   const std::vector<std::vector<size_t>> col_sets = {{0}, {1}, {2}, {0, 1, 2},
                                                      {2, 0}};
-  for (size_t shard_count : {1u, 4u, 16u}) {
-    auto table = MakeCorpusTable(shard_count);
-    for (size_t g = 0; g < table->num_rows(); ++g) {
-      for (const auto& cols : col_sets) {
-        std::string from_tuple, from_table;
-        const bool ok_tuple = EncodeJoinKey(table->rows()[g], cols,
-                                            &from_tuple);
-        const bool ok_table = EncodeTableJoinKey(*table, g, cols, &from_table);
-        ASSERT_EQ(ok_table, ok_tuple) << "shards=" << shard_count << " row "
-                                      << g;
-        if (ok_tuple) {
-          EXPECT_EQ(from_table, from_tuple)
-              << "shards=" << shard_count << " row " << g;
-        }
+  auto table = MakeCorpusTable();
+  for (size_t g = 0; g < table->num_rows(); ++g) {
+    for (const auto& cols : col_sets) {
+      std::string from_tuple, from_table;
+      const bool ok_tuple = EncodeJoinKey(table->rows()[g], cols, &from_tuple);
+      const bool ok_table = EncodeTableJoinKey(*table, g, cols, &from_table);
+      ASSERT_EQ(ok_table, ok_tuple) << "row " << g;
+      if (ok_tuple) {
+        EXPECT_EQ(from_table, from_tuple) << "row " << g;
       }
     }
   }

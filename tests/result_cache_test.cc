@@ -181,7 +181,8 @@ TEST(TableVersionTest, EveryInsertPathMaintainsVersionKeysAndIndexes) {
   // The unchecked (bulk-load) path goes through the same CommitRow: the
   // version bumps, the secondary index sees the row, and the primary-key
   // set records the key.
-  table.InsertUnchecked({Value::Int64(2), Value::String("b")});
+  ASSERT_TRUE(
+      table.InsertUnchecked({Value::Int64(2), Value::String("b")}).ok());
   EXPECT_EQ(table.version(), 2u);
 
   const Table::Index* index = table.GetIndex("v");
@@ -291,7 +292,7 @@ TEST(ResultCacheE2ETest, SingleTableDeltaReexecutesOnlyDirtyComponents) {
   auto table = db->GetTable(victim);
   ASSERT_TRUE(table.ok());
   Tuple delta_row = (*table)->rows().front();
-  (*table)->InsertUnchecked(std::move(delta_row));
+  ASSERT_TRUE((*table)->InsertUnchecked(std::move(delta_row)).ok());
 
   size_t dirty = 0;
   for (const auto& component : cold.components) {
@@ -380,7 +381,7 @@ TEST(ResultCacheE2ETest, DifferentialHarnessInterleavesMutationsAndPublishes) {
       ASSERT_TRUE(table.ok());
       if ((*table)->num_rows() > 0) {
         Tuple row = (*table)->rows()[rng() % (*table)->num_rows()];
-        (*table)->InsertUnchecked(std::move(row));
+        ASSERT_TRUE((*table)->InsertUnchecked(std::move(row)).ok());
         ++mutations;
       }
     }
