@@ -120,6 +120,23 @@ void EncodeValue(const Value& v, std::string* out) {
   }
 }
 
+void EncodeWireField(const WireField& f, std::string* out) {
+  switch (f.tag) {
+    case WireTag::kNull:
+      out->push_back(kTagNull);
+      break;
+    case WireTag::kInt64:
+      AppendInt64Cell(f.AsInt64(), out);
+      break;
+    case WireTag::kDouble:
+      AppendDoubleCell(f.AsDouble(), out);
+      break;
+    case WireTag::kString:
+      AppendString(f.bytes, out);
+      break;
+  }
+}
+
 void EncodeValueDescending(const Value& v, std::string* out) {
   size_t start = out->size();
   EncodeValue(v, out);

@@ -44,6 +44,7 @@
 #include <string_view>
 #include <vector>
 
+#include "engine/tuple_stream.h"
 #include "relational/columnar.h"
 #include "relational/table.h"
 #include "relational/tuple.h"
@@ -61,6 +62,11 @@ void EncodeValue(const Value& v, std::string* out);
 /// self-delimiting, so the first byte difference between two equal-arity
 /// keys always falls inside the differing segment.
 void EncodeValueDescending(const Value& v, std::string* out);
+
+/// Appends the encoding of a wire field straight from its payload bytes —
+/// byte-identical to EncodeValue(f.ToValue()) with no Value built (the
+/// tagger encodes its merge keys this way).
+void EncodeWireField(const WireField& f, std::string* out);
 
 /// Encodes `row[cols[0]], row[cols[1]], ...` as a join key. Returns false
 /// without touching `out` beyond partial writes if any key column is SQL

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -21,8 +22,43 @@
 
 namespace silkroute::engine {
 
+/// Wire format of one row: a u32 field count, then per field a one-byte
+/// tag and its payload (8 host-order bytes for numerics, a u32 length and
+/// the bytes for strings, nothing for NULL).
+enum class WireTag : uint8_t {
+  kNull = 0,
+  kInt64 = 1,
+  kDouble = 2,
+  kString = 3,
+};
+
+/// One field of a bound row, viewed in place: its tag and payload bytes
+/// inside the wire buffer. No Value is built.
+struct WireField {
+  WireTag tag = WireTag::kNull;
+  std::string_view bytes;  // empty for NULL
+
+  bool is_null() const { return tag == WireTag::kNull; }
+  /// Payload accessors; the tag must match.
+  int64_t AsInt64() const;
+  double AsDouble() const;
+  Value ToValue() const;
+};
+
+/// A row's fields in column order. The views point into the wire buffer
+/// and stay valid as long as that buffer lives.
+struct WireRow {
+  std::vector<WireField> fields;
+};
+
 /// Serializes one tuple to the wire format, appending to `out`.
 void SerializeTuple(const Tuple& tuple, std::string* out);
+
+/// The one wire decoder: parses the row starting at `*offset` into `row`
+/// (reusing its storage) and advances `*offset`. Truncation, a field count
+/// larger than the remaining bytes, an overlong string, or an unknown tag
+/// is InvalidArgument.
+Status ParseWireRow(std::string_view buffer, size_t* offset, WireRow* row);
 
 /// Deserializes one tuple starting at `*offset`; advances `*offset`.
 Result<Tuple> DeserializeTuple(const std::string& buffer, size_t* offset);
@@ -48,6 +84,11 @@ class TupleStream {
   /// Client-side fetch: deserializes and returns the next tuple, or
   /// nullopt at end of stream.
   std::optional<Tuple> Next();
+
+  /// Client-side fetch without materializing: views the next row in place.
+  /// Returns false at end of stream; a corrupt row also reads as the end,
+  /// exactly as for Next(). The views live as long as this stream.
+  bool NextRow(WireRow* row);
 
   /// Rewinds to the first tuple (used by tests).
   void Rewind() { offset_ = 0; }

@@ -404,7 +404,8 @@ Result<engine::Relation> RemoteSqlExecutor::Exchange(
         return carried;
       }
       case FrameType::kRequest:
-      case FrameType::kStats: {
+      case FrameType::kStats:
+      case FrameType::kVersions: {
         decode_errors_.fetch_add(1);
         if (m_decode_errors_ != nullptr) m_decode_errors_->Add(1);
         return Status::Unavailable(

@@ -1,5 +1,6 @@
 #include "relational/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,21 +14,6 @@ namespace {
   std::cerr << "Value type error: wanted " << want << ", value is "
             << v.ToString() << "\n";
   std::abort();
-}
-
-std::string FormatDouble(double d) {
-  // Canonical shortest-ish representation: integral doubles print without
-  // trailing zeros, others with up to 6 significant decimals.
-  if (d == static_cast<double>(static_cast<int64_t>(d)) &&
-      std::fabs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld.0",
-                  static_cast<long long>(static_cast<int64_t>(d)));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", d);
-  return buf;
 }
 }  // namespace
 
@@ -107,8 +93,7 @@ size_t Value::ByteSize() const {
 
 std::string Value::ToString() const {
   if (is_null()) return "NULL";
-  if (is_int64()) return std::to_string(std::get<int64_t>(rep_));
-  if (is_double()) return FormatDouble(std::get<double>(rep_));
+  if (!is_string()) return ToXmlText();
   std::string out = "'";
   for (char c : AsString()) {
     if (c == '\'') out += "''";
@@ -119,10 +104,33 @@ std::string Value::ToString() const {
 }
 
 std::string Value::ToXmlText() const {
-  if (is_null()) return "";
   if (is_string()) return AsString();
-  if (is_int64()) return std::to_string(std::get<int64_t>(rep_));
-  return FormatDouble(std::get<double>(rep_));
+  std::string out;
+  if (is_int64()) AppendInt64XmlText(std::get<int64_t>(rep_), &out);
+  if (is_double()) AppendDoubleXmlText(std::get<double>(rep_), &out);
+  return out;
+}
+
+void AppendInt64XmlText(int64_t v, std::string* out) {
+  char buf[24];
+  auto end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out->append(buf, static_cast<size_t>(end - buf));
+}
+
+void AppendDoubleXmlText(double d, std::string* out) {
+  // Canonical shortest-ish representation: integral doubles print without
+  // trailing zeros, others with up to 6 significant decimals. The range
+  // test comes first so the int64 cast never sees an out-of-range double.
+  char buf[64];
+  int n;
+  if (std::fabs(d) < 1e15 &&
+      d == static_cast<double>(static_cast<int64_t>(d))) {
+    n = std::snprintf(buf, sizeof(buf), "%lld.0",
+                      static_cast<long long>(static_cast<int64_t>(d)));
+  } else {
+    n = std::snprintf(buf, sizeof(buf), "%.6g", d);
+  }
+  out->append(buf, static_cast<size_t>(n));
 }
 
 std::ostream& operator<<(std::ostream& os, const Value& v) {

@@ -84,6 +84,12 @@ class Value {
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
 
+/// Append-style XML text of a numeric cell: exactly the bytes ToXmlText
+/// returns for Value::Int64(v) / Value::Double(v). Callers that hold a raw
+/// payload (the tagger reads wire bytes) render without building a Value.
+void AppendInt64XmlText(int64_t v, std::string* out);
+void AppendDoubleXmlText(double v, std::string* out);
+
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };

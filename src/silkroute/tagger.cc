@@ -1,62 +1,62 @@
 #include "silkroute/tagger.h"
 
 #include <algorithm>
-#include <set>
+
+#include "engine/key_codec.h"
 
 namespace silkroute::core {
 
-namespace {
-int CompareKeys(const std::vector<Value>& a, const std::vector<Value>& b) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    int c = a[i].Compare(b[i]);
-    if (c != 0) return c;
-  }
-  return 0;
-}
-}  // namespace
-
-/// A captured node instance waiting to be merged: its global key and the
-/// values of the node's text content, read from the physical row that
-/// carried it. One slot per InstanceSpec — the "constant memory" of the
-/// tagger is one tuple per stream plus one captured instance per view-tree
-/// node.
-struct Tagger::StreamState {
-  struct Pending {
-    std::vector<Value> key;
-    std::vector<Value> values;  // one per kValue content item, in order
+/// One InstanceSpec resolved to its stream's columns, plus the instance it
+/// captured: the encoded key and the node's text-content fields (views into
+/// the stream's buffer). The key stays as the spec's last key after the
+/// merge drains the slot, for duplicate suppression across adjacent rows.
+struct Tagger::Slot {
+  /// A global key position: a column of the row, or (col < 0) an encoded
+  /// constant — the instance's label at its level, NULL elsewhere.
+  struct KeySource {
+    int col = -1;
+    std::string constant;
   };
 
-  const StreamSpec* spec = nullptr;
-  engine::TupleStream* stream = nullptr;
+  int node_id = -1;
+  bool fused = false;
+  std::vector<std::pair<int, int64_t>> label_checks;  // (column, label)
+  std::vector<int> null_cols;                         // must be NULL
+  std::vector<KeySource> key_sources;                 // per position
+  std::vector<int> value_cols;  // per kValue content item; -1 = NULL
 
-  // Column resolution for this stream's schema.
-  std::vector<int> label_col;       // level (1-based) -> column or -1
-  std::map<VarIndex, int> var_col;  // any var -> column or absent
+  bool pending = false;  // holds an instance waiting to be merged
+  bool has_key = false;  // `key` holds the last captured key
+  Key key;
+  std::vector<engine::WireField> values;
 
-  std::optional<Tuple> row;    // current physical row
-  size_t instance_cursor = 0;  // next InstanceSpec to try on `row`
-  bool rows_done = false;
-
-  // Per-spec state: captured instance and the last key seen (duplicate
-  // suppression across adjacent physical rows).
-  std::vector<std::optional<Pending>> pending;
-  std::vector<std::optional<std::vector<Value>>> last_key;
-
-  // Cached index of the minimal pending slot; -1 when empty/stale.
-  int current = -1;
-
-  int ColumnOfVar(VarIndex v) const {
-    auto it = var_col.find(v);
-    return it == var_col.end() ? -1 : it->second;
-  }
-
-  bool Exhausted() const {
-    if (!rows_done || row.has_value()) return false;
-    for (const auto& p : pending) {
-      if (p.has_value()) return false;
+  bool Present(const engine::WireRow& row) const {
+    for (const auto& [col, label] : label_checks) {
+      const engine::WireField& f = row.fields[static_cast<size_t>(col)];
+      if (f.tag != engine::WireTag::kInt64 || f.AsInt64() != label) {
+        return false;
+      }
+    }
+    for (int col : null_cols) {
+      if (!row.fields[static_cast<size_t>(col)].is_null()) return false;
     }
     return true;
   }
+};
+
+struct Tagger::StreamState {
+  engine::TupleStream* stream = nullptr;
+  size_t arity = 0;
+  std::vector<Slot> slots;  // one per InstanceSpec, document order
+
+  engine::WireRow row;  // current physical row
+  bool has_row = false;
+  bool rows_done = false;
+  size_t cursor = 0;        // next slot to try on `row`
+  Key staged;               // key built for slot `cursor`
+  bool stalled = false;     // `staged` waits for its occupied slot
+  size_t live = 0;          // occupied slots
+  Slot* current = nullptr;  // occupied slot with the least key, in `slots`
 };
 
 Tagger::Tagger(const ViewTree* tree, xml::XmlWriter* writer, Options options)
@@ -75,156 +75,180 @@ void Tagger::BuildKeyLayout() {
     }
   }
   num_positions_ = pos;
-}
 
-bool Tagger::InstancePresent(const StreamState& s,
-                             const InstanceSpec& inst) const {
-  for (const auto& [level, expected] : inst.label_checks) {
-    int col = s.label_col[static_cast<size_t>(level)];
-    if (col < 0) continue;  // constant level: matches by construction
-    const Value& v = (*s.row)[static_cast<size_t>(col)];
-    if (v.is_null()) return false;
-    if (!v.is_int64() || v.AsInt64() != expected) return false;
-  }
-  for (int level : inst.null_levels) {
-    int col = s.label_col[static_cast<size_t>(level)];
-    if (col < 0) continue;
-    if (!(*s.row)[static_cast<size_t>(col)].is_null()) return false;
-  }
-  return true;
-}
-
-void Tagger::BuildKey(const StreamState& s, const InstanceSpec& inst,
-                      std::vector<Value>* key) const {
-  key->assign(num_positions_, Value::Null());
-  const int level = static_cast<int>(inst.path_labels.size());
-  for (int j = 1; j <= level; ++j) {
-    (*key)[static_cast<size_t>(label_position_[static_cast<size_t>(j)])] =
-        Value::Int64(inst.path_labels[static_cast<size_t>(j - 1)]);
-  }
-  for (const auto& v : inst.key_vars) {
-    auto pos_it = var_position_.find(v);
-    if (pos_it == var_position_.end()) continue;
-    int col = s.ColumnOfVar(v);
-    if (col < 0) continue;
-    (*key)[pos_it->second] = (*s.row)[static_cast<size_t>(col)];
-  }
-}
-
-void Tagger::CaptureValues(const StreamState& s, const InstanceSpec& inst,
-                           std::vector<Value>* values) const {
-  values->clear();
-  const ViewTreeNode& node = tree_->node(inst.node_id);
-  for (const auto& item : node.content) {
-    if (item.kind != ViewTreeNode::ContentItem::Kind::kValue) continue;
-    int col = s.ColumnOfVar(item.value);
-    values->push_back(col >= 0 ? (*s.row)[static_cast<size_t>(col)]
-                               : Value::Null());
-  }
-}
-
-/// Fills pending slots by expanding physical rows, stopping when a slot it
-/// needs is still occupied (the occupied instance sorts no later, so the
-/// merge will drain it first) or when rows run out.
-Status Tagger::Refill(StreamState* s) {
-  while (true) {
-    if (!s->row.has_value()) {
-      if (s->rows_done) return Status::OK();
-      s->row = s->stream->Next();
-      s->instance_cursor = 0;
-      if (!s->row.has_value()) {
-        s->rows_done = true;
-        return Status::OK();
+  nodes_.resize(tree_->num_nodes());
+  for (const ViewTreeNode& node : tree_->nodes()) {
+    NodeInfo& info = nodes_[static_cast<size_t>(node.id)];
+    for (int id = node.id; id >= 0; id = tree_->node(id).parent) {
+      info.chain.push_back(id);
+    }
+    std::reverse(info.chain.begin(), info.chain.end());
+    for (int j = 1; j <= node.level(); ++j) {
+      info.identity_positions.push_back(
+          static_cast<size_t>(label_position_[static_cast<size_t>(j)]));
+    }
+    for (const auto& arg : node.args) {
+      auto it = var_position_.find(arg.index);
+      if (arg.identity && it != var_position_.end()) {
+        info.identity_positions.push_back(it->second);
       }
+    }
+    for (const auto& item : node.content) {
+      if (item.kind == ViewTreeNode::ContentItem::Kind::kValue) {
+        info.value_is_identity.push_back(tree_->IsIdentityVar(item.value));
+      }
+    }
+  }
+  stack_.resize(static_cast<size_t>(max_level));
+}
+
+Status Tagger::Compile(const StreamInput& input, StreamState* s) const {
+  s->stream = input.stream;
+  const engine::RelSchema& schema = input.stream->schema();
+  s->arity = schema.size();
+  auto column_of = [&schema](const std::string& name) {
+    auto idx = schema.Resolve("", name);
+    return idx.ok() ? static_cast<int>(*idx) : -1;
+  };
+  const std::string null_segment(1, '\0');
+  s->slots.resize(input.spec->instances.size());
+  for (size_t i = 0; i < s->slots.size(); ++i) {
+    const InstanceSpec& inst = input.spec->instances[i];
+    const ViewTreeNode& node = tree_->node(inst.node_id);
+    Slot& slot = s->slots[i];
+    slot.node_id = inst.node_id;
+    slot.fused = inst.fused;
+    // Constant levels (no label column) match by construction.
+    for (const auto& [level, expected] : inst.label_checks) {
+      int col = column_of(LabelColumnName(level));
+      if (col >= 0) slot.label_checks.emplace_back(col, expected);
+    }
+    for (int level : inst.null_levels) {
+      int col = column_of(LabelColumnName(level));
+      if (col >= 0) slot.null_cols.push_back(col);
+    }
+    slot.key_sources.assign(num_positions_, {-1, null_segment});
+    for (size_t j = 1; j <= inst.path_labels.size(); ++j) {
+      std::string& label = slot.key_sources[static_cast<size_t>(
+          label_position_[j])].constant;
+      label.clear();
+      engine::EncodeValue(Value::Int64(inst.path_labels[j - 1]), &label);
+    }
+    for (const auto& v : inst.key_vars) {
+      auto pos = var_position_.find(v);
+      if (pos != var_position_.end()) {
+        slot.key_sources[pos->second].col = column_of(v.ColumnName());
+      }
+    }
+    for (const auto& item : node.content) {
+      // Occurrences of a fused node are tracked in a 64-bit mask.
+      if (item.occurrence >= 64) {
+        return Status::Unimplemented("node " + node.tag +
+                                     " fuses more than 64 templates");
+      }
+      if (item.kind == ViewTreeNode::ContentItem::Kind::kValue) {
+        slot.value_cols.push_back(column_of(item.value.ColumnName()));
+      }
+    }
+    slot.values.resize(slot.value_cols.size());
+  }
+  return Status::OK();
+}
+
+void Tagger::EncodeKey(const engine::WireRow& row, const Slot& slot,
+                       Key* key) const {
+  key->bytes.clear();
+  key->ends.resize(num_positions_);
+  for (size_t p = 0; p < num_positions_; ++p) {
+    const Slot::KeySource& source = slot.key_sources[p];
+    if (source.col < 0) {
+      key->bytes += source.constant;
+    } else {
+      engine::EncodeWireField(row.fields[static_cast<size_t>(source.col)],
+                              &key->bytes);
+    }
+    key->ends[p] = static_cast<uint32_t>(key->bytes.size());
+  }
+}
+
+/// Fills slots by expanding physical rows, stopping when a slot it needs is
+/// still occupied (the occupied instance sorts no later, so the merge will
+/// drain it first; the row keeps the key it built) or when rows run out.
+/// Then points `current` at the occupied slot with the least key.
+void Tagger::Refill(StreamState* s) {
+  while (!s->rows_done) {
+    if (!s->has_row) {
+      // A corrupt or short row ends the stream, like TupleStream::Next().
+      if (!s->stream->NextRow(&s->row) || s->row.fields.size() != s->arity) {
+        s->rows_done = true;
+        break;
+      }
+      s->has_row = true;
+      s->cursor = 0;
       ++stats_.rows_consumed;
     }
-    while (s->instance_cursor < s->spec->instances.size()) {
-      const size_t index = s->instance_cursor;
-      const InstanceSpec& inst = s->spec->instances[index];
-      if (!InstancePresent(*s, inst)) {
-        ++s->instance_cursor;
-        continue;
+    for (; s->cursor < s->slots.size(); ++s->cursor) {
+      Slot& slot = s->slots[s->cursor];
+      if (!s->stalled) {
+        if (!slot.Present(s->row)) continue;
+        EncodeKey(s->row, slot, &s->staged);
+        // Fused instances must pass through equal-key repeats: each rule's
+        // row contributes values that merge into the one element.
+        if (!slot.fused && slot.has_key && slot.key.bytes == s->staged.bytes) {
+          ++stats_.duplicates_skipped;
+          continue;
+        }
       }
-      std::vector<Value> key;
-      BuildKey(*s, inst, &key);
-      auto& last = s->last_key[index];
-      // Fused instances must pass through equal-key repeats: each rule's
-      // row contributes values that merge into the one element.
-      if (!inst.fused && last.has_value() && *last == key) {
-        ++stats_.duplicates_skipped;
-        ++s->instance_cursor;
-        continue;
+      s->stalled = slot.pending;
+      if (s->stalled) break;
+      std::swap(slot.key, s->staged);
+      for (size_t v = 0; v < slot.values.size(); ++v) {
+        const int col = slot.value_cols[v];
+        slot.values[v] = col < 0 ? engine::WireField{}
+                                 : s->row.fields[static_cast<size_t>(col)];
       }
-      if (s->pending[index].has_value()) {
-        // Slot occupied by an earlier (no-later-sorting) instance: stall
-        // this row until the merge drains the slot.
-        return Status::OK();
-      }
-      StreamState::Pending p;
-      p.key = key;
-      CaptureValues(*s, inst, &p.values);
-      s->pending[index] = std::move(p);
-      last = std::move(key);
-      ++s->instance_cursor;
-      size_t live = 0;
-      for (const auto& slot : s->pending) {
-        if (slot.has_value()) ++live;
-      }
+      slot.pending = slot.has_key = true;
       stats_.peak_buffered_tuples =
-          std::max(stats_.peak_buffered_tuples, live);
+          std::max(stats_.peak_buffered_tuples, ++s->live);
     }
-    s->row.reset();  // row fully expanded; fetch the next one
+    if (s->stalled) break;
+    s->has_row = false;  // row fully expanded; fetch the next one
+  }
+  s->current = nullptr;
+  for (Slot& slot : s->slots) {
+    if (slot.pending &&
+        (s->current == nullptr || slot.key.bytes < s->current->key.bytes)) {
+      s->current = &slot;
+    }
   }
 }
 
-int Tagger::MinPending(const StreamState& s) const {
-  int best = -1;
-  for (size_t i = 0; i < s.pending.size(); ++i) {
-    if (!s.pending[i].has_value()) continue;
-    if (best < 0 ||
-        CompareKeys(s.pending[i]->key,
-                    s.pending[static_cast<size_t>(best)]->key) < 0) {
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
-}
-
-bool Tagger::SameInstanceAt(const std::vector<Value>& open_key,
-                            const std::vector<Value>& new_key,
+bool Tagger::SameInstanceAt(const Key& open, const Key& key,
                             int node_id) const {
-  const ViewTreeNode& node = tree_->node(node_id);
-  // Labels up to the node's level.
-  for (int j = 1; j <= node.level(); ++j) {
-    size_t pos = static_cast<size_t>(label_position_[static_cast<size_t>(j)]);
-    if (open_key[pos].Compare(new_key[pos]) != 0) return false;
-  }
-  // The node's own identity variables.
-  for (const auto& arg : node.args) {
-    if (!arg.identity) continue;
-    auto it = var_position_.find(arg.index);
-    if (it == var_position_.end()) continue;
-    if (open_key[it->second].Compare(new_key[it->second]) != 0) return false;
+  for (size_t p : nodes_[static_cast<size_t>(node_id)].identity_positions) {
+    if (open.Segment(p) != key.Segment(p)) return false;
   }
   return true;
 }
 
-Status Tagger::EmitRowContent(const ViewTreeNode& node,
-                              const std::vector<Value>* values,
+Status Tagger::EmitRowContent(int node_id,
+                              const std::vector<engine::WireField>* values,
                               bool opening) {
+  const ViewTreeNode& node = tree_->node(node_id);
+  const std::vector<bool>& value_is_identity =
+      nodes_[static_cast<size_t>(node_id)].value_is_identity;
   // Which fused occurrences does this row speak for? Those that supplied a
   // non-null value through a column of their own — shared identity columns
   // (e.g. the fused key itself used as a value) are filled by every rule
   // and don't mark an occurrence active. Ordinary nodes always emit text.
-  std::set<int> active;
-  if (values != nullptr) {
+  uint64_t active = 0;
+  if (values != nullptr && node.fused()) {
     size_t value_index = 0;
     for (const auto& item : node.content) {
       if (item.kind != ViewTreeNode::ContentItem::Kind::kValue) continue;
-      if (value_index < values->size() &&
-          !(*values)[value_index].is_null() &&
-          !tree_->IsIdentityVar(item.value)) {
-        active.insert(item.occurrence);
+      if (!(*values)[value_index].is_null() &&
+          !value_is_identity[value_index]) {
+        active |= uint64_t{1} << item.occurrence;
       }
       ++value_index;
     }
@@ -233,20 +257,17 @@ Status Tagger::EmitRowContent(const ViewTreeNode& node,
   for (const auto& item : node.content) {
     switch (item.kind) {
       case ViewTreeNode::ContentItem::Kind::kText:
-        if (!node.fused() || active.count(item.occurrence) > 0) {
+        if (!node.fused() || ((active >> item.occurrence) & 1) != 0) {
           SILK_RETURN_IF_ERROR(writer_->Text(item.text));
         }
         break;
       case ViewTreeNode::ContentItem::Kind::kValue: {
         // Identity-backed values (shared across rules) print once, when
         // the element opens; rule-specific values print with their row.
-        bool emit = opening || !node.fused() ||
-                    !tree_->IsIdentityVar(item.value);
-        if (emit && values != nullptr && value_index < values->size()) {
-          const Value& v = (*values)[value_index];
-          if (!v.is_null()) {
-            SILK_RETURN_IF_ERROR(writer_->Text(v.ToXmlText()));
-          }
+        bool emit =
+            opening || !node.fused() || !value_is_identity[value_index];
+        if (emit && values != nullptr) {
+          SILK_RETURN_IF_ERROR(EmitField((*values)[value_index]));
         }
         ++value_index;
         break;
@@ -258,50 +279,57 @@ Status Tagger::EmitRowContent(const ViewTreeNode& node,
   return Status::OK();
 }
 
-Status Tagger::OpenElement_(int node_id, const std::vector<Value>& key,
-                            const std::vector<Value>* values) {
-  const ViewTreeNode& node = tree_->node(node_id);
-  SILK_RETURN_IF_ERROR(writer_->StartElement(node.tag));
-  SILK_RETURN_IF_ERROR(EmitRowContent(node, values, /*opening=*/true));
-  stack_.push_back(OpenElement{node_id, key});
-  stats_.max_open_depth = std::max(stats_.max_open_depth, stack_.size());
+Status Tagger::EmitField(const engine::WireField& f) {
+  if (f.is_null()) return Status::OK();
+  std::string_view text = f.bytes;  // strings escape straight from the wire
+  if (f.tag != engine::WireTag::kString) {
+    text_.clear();
+    if (f.tag == engine::WireTag::kInt64) {
+      AppendInt64XmlText(f.AsInt64(), &text_);
+    } else {
+      AppendDoubleXmlText(f.AsDouble(), &text_);
+    }
+    text = text_;
+  }
+  return writer_->Text(text);
+}
+
+Status Tagger::OpenElement_(int node_id, const Key& key,
+                            const std::vector<engine::WireField>* values) {
+  SILK_RETURN_IF_ERROR(writer_->StartElement(tree_->node(node_id).tag));
+  SILK_RETURN_IF_ERROR(EmitRowContent(node_id, values, /*opening=*/true));
+  OpenElement& open = stack_[depth_++];
+  open.node_id = node_id;
+  open.key = key;  // copy-assign: reuses the entry's buffers
+  stats_.max_open_depth = std::max(stats_.max_open_depth, depth_);
   ++stats_.instances_emitted;
   return Status::OK();
 }
 
-Status Tagger::EmitInstance(int node_id, const std::vector<Value>& key,
-                            const std::vector<Value>* values) {
-  // Ancestor chain root..node.
-  std::vector<int> chain;
-  for (int id = node_id; id >= 0; id = tree_->node(id).parent) {
-    chain.push_back(id);
-  }
-  std::reverse(chain.begin(), chain.end());
-
+Status Tagger::EmitInstance(int node_id, const Key& key,
+                            const std::vector<engine::WireField>* values) {
+  const std::vector<int>& chain = nodes_[static_cast<size_t>(node_id)].chain;
   // Longest prefix of the open stack matching the chain (same node and same
   // instance identity).
   size_t keep = 0;
-  while (keep < stack_.size() && keep < chain.size()) {
-    const OpenElement& open = stack_[keep];
-    if (open.node_id != chain[keep]) break;
-    if (!SameInstanceAt(open.key, key, chain[keep])) break;
+  while (keep < depth_ && keep < chain.size() &&
+         stack_[keep].node_id == chain[keep] &&
+         SameInstanceAt(stack_[keep].key, key, chain[keep])) {
     ++keep;
   }
   if (keep == chain.size()) {
-    const ViewTreeNode& node = tree_->node(node_id);
-    if (node.fused() && values != nullptr) {
+    if (tree_->node(node_id).fused() && values != nullptr) {
       // Fusion: the element is already open; append this rule's content
       // (its literal text and non-null rule-specific values).
-      return EmitRowContent(node, values, /*opening=*/false);
+      return EmitRowContent(node_id, values, /*opening=*/false);
     }
     // Otherwise the instance (and its whole ancestor chain) is already
     // open: a duplicate.
     ++stats_.duplicates_skipped;
     return Status::OK();
   }
-  while (stack_.size() > keep) {
+  for (; depth_ > keep; --depth_) {
     SILK_RETURN_IF_ERROR(writer_->EndElement());
-    stack_.pop_back();
   }
   // Open any missing ancestors (should not happen — ancestors' own
   // instances sort first in the merged stream).
@@ -316,27 +344,8 @@ Status Tagger::EmitInstance(int node_id, const std::vector<Value>& key,
 Status Tagger::Run(std::vector<StreamInput> streams) {
   std::vector<StreamState> states(streams.size());
   for (size_t i = 0; i < streams.size(); ++i) {
-    StreamState& s = states[i];
-    s.spec = streams[i].spec;
-    s.stream = streams[i].stream;
-    s.pending.assign(s.spec->instances.size(), std::nullopt);
-    s.last_key.assign(s.spec->instances.size(), std::nullopt);
-    const engine::RelSchema& schema = s.stream->schema();
-    const int max_level = tree_->MaxLevel();
-    s.label_col.assign(static_cast<size_t>(max_level) + 1, -1);
-    for (int j = 1; j <= max_level; ++j) {
-      auto idx = schema.Resolve("", LabelColumnName(j));
-      if (idx.ok()) s.label_col[static_cast<size_t>(j)] = static_cast<int>(*idx);
-    }
-    // Resolve every view-tree variable that exists in this stream.
-    for (const auto& node : tree_->nodes()) {
-      for (const auto& arg : node.args) {
-        if (s.var_col.count(arg.index) > 0) continue;
-        auto idx = schema.Resolve("", arg.index.ColumnName());
-        if (idx.ok()) s.var_col.emplace(arg.index, static_cast<int>(*idx));
-      }
-    }
-    SILK_RETURN_IF_ERROR(Refill(&s));
+    SILK_RETURN_IF_ERROR(Compile(streams[i], &states[i]));
+    Refill(&states[i]);
   }
 
   if (!options_.document_element.empty()) {
@@ -344,33 +353,23 @@ Status Tagger::Run(std::vector<StreamInput> streams) {
   }
 
   while (true) {
-    // Pick the stream/slot with the smallest pending key.
-    StreamState* best_stream = nullptr;
-    int best_slot = -1;
+    // Pick the stream whose least pending key is smallest (ties: earliest).
+    StreamState* best = nullptr;
     for (auto& s : states) {
-      int slot = MinPending(s);
-      if (slot < 0) continue;
-      if (best_stream == nullptr ||
-          CompareKeys(s.pending[static_cast<size_t>(slot)]->key,
-                      best_stream->pending[static_cast<size_t>(best_slot)]
-                          ->key) < 0) {
-        best_stream = &s;
-        best_slot = slot;
-      }
+      if (s.current == nullptr) continue;
+      const std::string& key = s.current->key.bytes;
+      if (best == nullptr || key < best->current->key.bytes) best = &s;
     }
-    if (best_stream == nullptr) break;
-    StreamState::Pending pending =
-        std::move(*best_stream->pending[static_cast<size_t>(best_slot)]);
-    best_stream->pending[static_cast<size_t>(best_slot)].reset();
-    SILK_RETURN_IF_ERROR(EmitInstance(
-        best_stream->spec->instances[static_cast<size_t>(best_slot)].node_id,
-        pending.key, &pending.values));
-    SILK_RETURN_IF_ERROR(Refill(best_stream));
+    if (best == nullptr) break;
+    Slot& slot = *best->current;
+    slot.pending = false;
+    --best->live;
+    SILK_RETURN_IF_ERROR(EmitInstance(slot.node_id, slot.key, &slot.values));
+    Refill(best);
   }
 
-  while (!stack_.empty()) {
+  for (; depth_ > 0; --depth_) {
     SILK_RETURN_IF_ERROR(writer_->EndElement());
-    stack_.pop_back();
   }
   if (!options_.document_element.empty()) {
     SILK_RETURN_IF_ERROR(writer_->EndElement());

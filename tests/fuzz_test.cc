@@ -213,6 +213,34 @@ TEST(FuzzTest, TupleDecoderNeverCrashes) {
                     valid);
 }
 
+TEST(FuzzTest, RowViewAgreesWithTupleDecoder) {
+  // ParseWireRow (the tagger's row view) and DeserializeTuple must accept
+  // the same inputs, consume the same bytes, and yield equal values.
+  Tuple t{Value::Int64(-7), Value::Double(3.25),
+          Value::String(std::string("h\0llo", 5)), Value::Null()};
+  std::string valid;
+  engine::SerializeTuple(t, &valid);
+  FuzzBinaryDecoder(
+      207,
+      [](const std::string& s) {
+        size_t tuple_offset = 0;
+        size_t row_offset = 0;
+        auto tuple = engine::DeserializeTuple(s, &tuple_offset);
+        engine::WireRow row;
+        Status parsed = engine::ParseWireRow(s, &row_offset, &row);
+        ASSERT_EQ(tuple.ok(), parsed.ok());
+        if (!parsed.ok()) return;
+        EXPECT_EQ(tuple_offset, row_offset);
+        ASSERT_EQ(tuple->size(), row.fields.size());
+        for (size_t i = 0; i < row.fields.size(); ++i) {
+          const Value v = row.fields[i].ToValue();
+          EXPECT_EQ(v.is_int64(), (*tuple)[i].is_int64());
+          EXPECT_EQ(v.ToString(), (*tuple)[i].ToString());
+        }
+      },
+      valid);
+}
+
 // --- CSV bulk load into columnar storage ----------------------------------
 // The loader is the one path where external bytes become column cells, so
 // corruption must surface as a Status before any column invariant can

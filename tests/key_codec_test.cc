@@ -318,6 +318,30 @@ TEST(KeyCodecTest, ColumnEncodingIsByteIdenticalToValueEncoding) {
   }
 }
 
+TEST(KeyCodecTest, WireFieldEncodingIsByteIdenticalToValueEncoding) {
+  // The tagger encodes merge keys straight from wire bytes; the corpus plus
+  // the tiebreaker regime must encode exactly as the Value path does.
+  std::vector<Value> values = Corpus();
+  for (int64_t v : {std::numeric_limits<int64_t>::min(),
+                    (int64_t{1} << 53) + 1, -(int64_t{1} << 53) - 1,
+                    std::numeric_limits<int64_t>::max()}) {
+    values.push_back(Value::Int64(v));
+  }
+  values.push_back(Value::Double(9007199254740994.0));
+  values.push_back(Value::Double(-1e19));
+  for (const Value& v : values) {
+    std::string wire;
+    SerializeTuple(Tuple{v}, &wire);
+    size_t offset = 0;
+    WireRow row;
+    ASSERT_TRUE(ParseWireRow(wire, &offset, &row).ok());
+    ASSERT_EQ(row.fields.size(), 1u);
+    std::string from_wire;
+    EncodeWireField(row.fields[0], &from_wire);
+    EXPECT_EQ(from_wire, Enc(v)) << v;
+  }
+}
+
 TEST(KeyCodecTest, TableJoinKeyMatchesTupleJoinKeyIncludingNullRefusal) {
   const std::vector<std::vector<size_t>> col_sets = {{0}, {1}, {2}, {0, 1, 2},
                                                      {2, 0}};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
 #include <sstream>
 
 #include "engine/executor.h"
@@ -160,6 +162,37 @@ TEST_F(TaggerTest, RowsConsumedMatchesStreamSizes) {
   EXPECT_GT(stats.rows_consumed, 0u);
 }
 
+TEST_F(TaggerTest, StatsPinnedForQuery1Plans) {
+  // Recorded from the Value-key tagger before the packed-key rewrite: the
+  // byte-key merge must consume, emit and deduplicate exactly as it did.
+  struct Pin {
+    uint64_t mask;
+    SqlGenStyle style;
+    bool reduce;
+    size_t instances, duplicates, rows;
+  };
+  const Pin pins[] = {
+      {0x1FF, SqlGenStyle::kOuterJoin, false, 4980, 9660, 3695},   // unified
+      {0x1FF, SqlGenStyle::kOuterJoin, true, 4980, 7118, 1220},
+      {0, SqlGenStyle::kOuterJoin, false, 4980, 0, 4980},  // fully partitioned
+      {0x1E8, SqlGenStyle::kOuterJoin, false, 4980, 9519, 3720},
+      {0x1E8, SqlGenStyle::kOuterJoin, true, 4980, 2349, 1330},
+      {0x1FF, SqlGenStyle::kOuterUnion, false, 4980, 0, 4980},
+      {0x1FF, SqlGenStyle::kOuterUnion, true, 4980, 0, 1285},
+  };
+  for (const Pin& pin : pins) {
+    TaggerStats stats;
+    RunPlan(pin.mask, pin.style, pin.reduce, &stats);
+    SCOPED_TRACE(testing::Message() << std::hex << pin.mask << " style "
+                                    << static_cast<int>(pin.style)
+                                    << " reduce " << pin.reduce);
+    EXPECT_EQ(stats.instances_emitted, pin.instances);
+    EXPECT_EQ(stats.duplicates_skipped, pin.duplicates);
+    EXPECT_EQ(stats.rows_consumed, pin.rows);
+    EXPECT_EQ(stats.forced_ancestor_opens, 0u);
+  }
+}
+
 TEST_F(TaggerTest, WithoutDocumentElementEmitsForest) {
   // A single-supplier view without the wrapper: root element instances
   // follow each other; the reader then rejects it as multi-root, which is
@@ -184,6 +217,187 @@ TEST_F(TaggerTest, WithoutDocumentElementEmitsForest) {
   ASSERT_TRUE(doc.ok()) << out.str();
   EXPECT_EQ((*doc)->name, "regions");
   EXPECT_EQ((*doc)->FirstChild("region")->text, "AFRICA");
+}
+
+}  // namespace
+}  // namespace silkroute::core
+
+// --- Hand-built streams -----------------------------------------------------
+// Edge cases of the byte-key merge, fed through TupleStream(Relation) with
+// rows written by hand rather than produced by the engine. Each stream's
+// columns are those of its generated SQL; cells not named by a row are NULL.
+
+namespace silkroute::core {
+namespace {
+
+using Cells = std::map<std::string, Value>;
+
+class HandBuiltStreamTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    TableSchema p("P", {{"k", DataType::kInt64, false},
+                        {"name", DataType::kString, true}});
+    ASSERT_TRUE(p.SetPrimaryKey({"k"}).ok());
+    TableSchema c("C", {{"ck", DataType::kInt64, false},
+                        {"pk", DataType::kInt64, false},
+                        {"v", DataType::kString, true}});
+    ASSERT_TRUE(c.SetPrimaryKey({"ck"}).ok());
+    ASSERT_TRUE(db_.CreateTable(std::move(p)).ok());
+    ASSERT_TRUE(db_.CreateTable(std::move(c)).ok());
+  }
+
+  /// Tags the fully partitioned plan of `rxl` over one hand-built stream
+  /// per component (in document order) and returns the XML without its
+  /// declaration.
+  std::string Tag(const char* rxl, const std::vector<std::vector<Cells>>& rows,
+                  TaggerStats* stats = nullptr) {
+    ViewTree tree = MustBuildTree(rxl, db_.catalog());
+    SqlGenerator gen(&tree, SqlGenStyle::kOuterJoin, false);
+    auto specs = gen.GeneratePlan(*Partition::FromMask(tree, 0));
+    EXPECT_TRUE(specs.ok()) << specs.status();
+    EXPECT_EQ(specs->size(), rows.size());
+    std::vector<std::unique_ptr<engine::TupleStream>> streams;
+    std::vector<Tagger::StreamInput> inputs;
+    for (size_t i = 0; i < specs->size() && i < rows.size(); ++i) {
+      // The generated SQL over the empty tables yields the stream schema.
+      engine::QueryExecutor exec(&db_);
+      auto relation = exec.ExecuteSql((*specs)[i].sql);
+      EXPECT_TRUE(relation.ok()) << relation.status();
+      for (const Cells& cells : rows[i]) {
+        Tuple row;
+        for (size_t c = 0; c < relation->schema.size(); ++c) {
+          auto it = cells.find(relation->schema.column(c).name);
+          row.Append(it == cells.end() ? Value::Null() : it->second);
+        }
+        relation->rows.push_back(std::move(row));
+      }
+      streams.push_back(
+          std::make_unique<engine::TupleStream>(std::move(relation).value()));
+      inputs.push_back({&(*specs)[i], streams.back().get()});
+    }
+    std::ostringstream out;
+    xml::XmlWriter::Options options;
+    options.declaration = false;
+    xml::XmlWriter writer(&out, options);
+    Tagger tagger(&tree, &writer, Tagger::Options{"doc"});
+    Status s = tagger.Run(std::move(inputs));
+    EXPECT_TRUE(s.ok()) << s;
+    EXPECT_TRUE(writer.Finish().ok());
+    EXPECT_EQ(tagger.stats().forced_ancestor_opens, 0u);
+    if (stats != nullptr) *stats = tagger.stats();
+    return out.str();
+  }
+
+  static Cells Parent(Value key, const char* name) {
+    return {{"L1", Value::Int64(1)},
+            {"v1_1", std::move(key)},
+            {"v1_2", Value::String(name)}};
+  }
+  static Cells Child(Value parent_key, int64_t key, const char* v) {
+    return {{"L1", Value::Int64(1)},
+            {"L2", Value::Int64(1)},
+            {"v1_1", std::move(parent_key)},
+            {"v2_1", Value::Int64(key)},
+            {"v2_2", Value::String(v)}};
+  }
+
+  Database db_;
+};
+
+constexpr const char* kParentChildView =
+    "from P $p construct <p>$p.name"
+    "{ from C $c where $c.pk = $p.k construct <c>$c.v</c> }</p>";
+
+TEST_F(HandBuiltStreamTest, StringKeysSharingAPrefixOrHoldingANulStayApart) {
+  // Codec order: "ab" < "ab\0c" < "abc" (the embedded NUL is escaped, the
+  // terminator sorts below every continuation).
+  const std::string nul("ab\0c", 4);
+  TaggerStats stats;
+  std::string xml = Tag(
+      kParentChildView,
+      {{Parent(Value::String("ab"), "x"), Parent(Value::String(nul), "y"),
+        Parent(Value::String("abc"), "z")},
+       {Child(Value::String("ab"), 1, "1"), Child(Value::String(nul), 2, "2"),
+        Child(Value::String(nul), 3, "3"),
+        Child(Value::String("abc"), 4, "4")}},
+      &stats);
+  EXPECT_EQ(xml,
+            "<doc><p>x<c>1</c></p><p>y<c>2</c><c>3</c></p>"
+            "<p>z<c>4</c></p></doc>");
+  EXPECT_EQ(stats.instances_emitted, 7u);
+  EXPECT_EQ(stats.duplicates_skipped, 0u);
+}
+
+TEST_F(HandBuiltStreamTest, NullIdentityValuesSortFirstAndMatchEachOther) {
+  TaggerStats stats;
+  std::string xml =
+      Tag(kParentChildView,
+          {{Parent(Value::Null(), "n"), Parent(Value::Int64(1), "one")},
+           {Child(Value::Null(), 5, "5"), Child(Value::Null(), 6, "6"),
+            Child(Value::Int64(1), 7, "7")}},
+          &stats);
+  EXPECT_EQ(xml,
+            "<doc><p>n<c>5</c><c>6</c></p><p>one<c>7</c></p></doc>");
+  EXPECT_EQ(stats.instances_emitted, 5u);
+}
+
+TEST_F(HandBuiltStreamTest, Int64AndEqualDoubleAcrossStreamsAreOneInstance) {
+  // The parent stream carries int64 3, the child stream double 3.0 at the
+  // same identity position: both encode to one segment, so the child nests
+  // under the open parent instead of forcing a second <p>.
+  TaggerStats stats;
+  std::string xml = Tag(kParentChildView,
+                        {{Parent(Value::Int64(3), "three")},
+                         {Child(Value::Double(3.0), 1, "a"),
+                          Child(Value::Double(3.0), 2, "b")}},
+                        &stats);
+  EXPECT_EQ(xml, "<doc><p>three<c>a</c><c>b</c></p></doc>");
+  EXPECT_EQ(stats.instances_emitted, 3u);
+}
+
+TEST_F(HandBuiltStreamTest, NegativeKeysMergeInNumericOrder) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  TaggerStats stats;
+  std::string xml = Tag(
+      kParentChildView,
+      {{Parent(Value::Int64(kMin), "min"), Parent(Value::Int64(-5), "m5"),
+        Parent(Value::Int64(-1), "m1"), Parent(Value::Int64(0), "z"),
+        Parent(Value::Int64(2), "p2")},
+       {Child(Value::Int64(kMin), -9, "a"), Child(Value::Int64(-5), -3, "b"),
+        Child(Value::Int64(-5), 4, "c"), Child(Value::Int64(2), -1, "d")}},
+      &stats);
+  EXPECT_EQ(xml,
+            "<doc><p>min<c>a</c></p><p>m5<c>b</c><c>c</c></p><p>m1</p>"
+            "<p>z</p><p>p2<c>d</c></p></doc>");
+  EXPECT_EQ(stats.instances_emitted, 9u);
+}
+
+TEST_F(HandBuiltStreamTest, FusedNodeFedByTwoRulesIsOneElement) {
+  // <c> is fused from two templates (shared Skolem function I): each
+  // rule's row appends its own literal text and value to the one element.
+  constexpr const char* kFusedView =
+      "from P $p construct <p ID=R($p.k)>"
+      "{ from C $c where $c.pk = $p.k, $c.ck = 0 "
+      "construct <c ID=I($p.k)>a$c.v</c> }"
+      "{ from C $d where $d.pk = $p.k, $d.ck = 1 "
+      "construct <c ID=I($p.k)>b$d.v</c> }</p>";
+  auto rule = [](int64_t parent, int rule_index, const char* v) {
+    Cells cells = {{"L1", Value::Int64(1)},
+                   {"L2", Value::Int64(1)},
+                   {"v1_1", Value::Int64(parent)}};
+    cells[rule_index == 0 ? "v2_1" : "v2_2"] = Value::String(v);
+    return cells;
+  };
+  const Cells p1 = {{"L1", Value::Int64(1)}, {"v1_1", Value::Int64(1)}};
+  const Cells p2 = {{"L1", Value::Int64(1)}, {"v1_1", Value::Int64(2)}};
+  TaggerStats stats;
+  std::string xml =
+      Tag(kFusedView,
+          {{p1, p2}, {rule(1, 0, "x"), rule(1, 1, "y"), rule(2, 1, "z")}},
+          &stats);
+  EXPECT_EQ(xml, "<doc><p><c>axby</c></p><p><c>bz</c></p></doc>");
+  EXPECT_EQ(stats.instances_emitted, 4u);
+  EXPECT_EQ(stats.duplicates_skipped, 0u);
 }
 
 }  // namespace

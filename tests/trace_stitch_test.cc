@@ -406,6 +406,43 @@ TEST_F(StitchFixture, HostileTraceBlockFromServerNeverMalformsClientTree) {
   EXPECT_GE(remote.decode_errors(), 1u);
 }
 
+TEST_F(StitchFixture, VersionsFrameMidResponseIsADecodeError) {
+  // A "server" that starts a query response with a chunk and then sends a
+  // kVersions frame (a reply to a request the client never made). The
+  // client must count a decode error and fail the exchange, not skip it.
+  auto bound = Listener::Bind("127.0.0.1", 0);
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  Listener listener = std::move(bound).value();
+  std::thread fake([&listener] {
+    IoOptions io = IoOptions::WithTimeout(5000);
+    auto socket = listener.Accept(io);
+    if (!socket.ok()) return;
+    auto request = ReadFrame(&*socket, io);
+    if (!request.ok()) return;
+    FrameHeader header;
+    header.request_id = request->header.request_id;
+    header.type = FrameType::kChunk;
+    (void)WriteFrame(&*socket, header, std::string(8, '\0'), io);
+    header.version = kWireVersion;
+    header.type = FrameType::kVersions;
+    (void)WriteFrame(&*socket, header, std::string(4, '\0'), io);
+    // Hold the socket open briefly so the client, not us, decides.
+    auto extra = ReadFrame(&*socket, io);
+    (void)extra;
+  });
+
+  auto options = RemoteOpts(listener.port());
+  options.connect_attempts = 1;
+  RemoteSqlExecutor remote(options);
+  auto result =
+      remote.ExecuteSqlWithDeadline("select suppkey from Supplier", 2000);
+  EXPECT_FALSE(result.ok());
+  remote.Shutdown();
+  fake.join();
+  listener.Close();
+  EXPECT_GE(remote.decode_errors(), 1u);
+}
+
 TEST_F(StitchFixture, ChaosTracedSweepNeverMalformsClientTree) {
   // Seeded FlakyProxy schedules between a traced client and a real server:
   // whatever the proxy tears, stalls, or resets, every schedule must end

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+#include <optional>
+#include <string>
+
 #include "common/random.h"
 #include "engine/tuple_stream.h"
 
@@ -78,6 +83,107 @@ TEST(TupleStreamTest, HostileStringLengthRejected) {
   size_t offset = 0;
   auto result = DeserializeTuple(wire, &offset);
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// True when two values have the same type and the same representation
+/// (Value's operator== calls 3 and 3.0 equal; the decoders must not).
+bool SameRepresentation(const Value& a, const Value& b) {
+  return a.is_null() == b.is_null() && a.is_int64() == b.is_int64() &&
+         a.is_double() == b.is_double() && a.ToString() == b.ToString();
+}
+
+/// Walks `wire` with Next() and with NextRow() on two streams over the same
+/// bytes: both must yield the same rows, with equal values, and end (at the
+/// true end or at the first corrupt row) at the same point.
+void ExpectNextAndNextRowAgree(const std::string& wire) {
+  auto bytes = std::make_shared<const std::string>(wire);
+  TupleStream by_tuple(RelSchema(), bytes, 0);
+  TupleStream by_row(RelSchema(), bytes, 0);
+  WireRow row;
+  for (size_t i = 0;; ++i) {
+    std::optional<Tuple> tuple = by_tuple.Next();
+    const bool got_row = by_row.NextRow(&row);
+    ASSERT_EQ(tuple.has_value(), got_row) << "row " << i;
+    if (!got_row) break;
+    ASSERT_EQ(row.fields.size(), tuple->size()) << "row " << i;
+    for (size_t c = 0; c < row.fields.size(); ++c) {
+      ASSERT_TRUE(SameRepresentation(row.fields[c].ToValue(), (*tuple)[c]))
+          << "row " << i << " col " << c;
+    }
+  }
+}
+
+std::string ThreeRowWire() {
+  std::string wire;
+  SerializeTuple(Tuple{Value::Int64(-7), Value::Double(3.25),
+                       Value::String("h\xC3\xA9llo"), Value::Null()},
+                 &wire);
+  SerializeTuple(Tuple{}, &wire);
+  SerializeTuple(Tuple{Value::String(std::string("a\0b", 3)),
+                       Value::Int64(std::numeric_limits<int64_t>::min())},
+                 &wire);
+  return wire;
+}
+
+TEST(TupleStreamTest, RowViewExposesTagsAndPayloads) {
+  std::string wire = ThreeRowWire();
+  size_t offset = 0;
+  WireRow row;
+  ASSERT_TRUE(ParseWireRow(wire, &offset, &row).ok());
+  ASSERT_EQ(row.fields.size(), 4u);
+  EXPECT_EQ(row.fields[0].tag, WireTag::kInt64);
+  EXPECT_EQ(row.fields[0].AsInt64(), -7);
+  EXPECT_EQ(row.fields[1].tag, WireTag::kDouble);
+  EXPECT_EQ(row.fields[1].AsDouble(), 3.25);
+  EXPECT_EQ(row.fields[2].tag, WireTag::kString);
+  EXPECT_EQ(row.fields[2].bytes, "h\xC3\xA9llo");
+  EXPECT_TRUE(row.fields[3].is_null());
+  EXPECT_TRUE(row.fields[3].bytes.empty());
+  // The row's storage is reused: a shorter row leaves no stale fields.
+  ASSERT_TRUE(ParseWireRow(wire, &offset, &row).ok());
+  EXPECT_TRUE(row.fields.empty());
+  ASSERT_TRUE(ParseWireRow(wire, &offset, &row).ok());
+  ASSERT_EQ(row.fields.size(), 2u);
+  EXPECT_EQ(row.fields[0].bytes, std::string_view("a\0b", 3));
+  EXPECT_EQ(offset, wire.size());
+}
+
+TEST(TupleStreamTest, RowViewAndNextAgreeOnEveryTruncation) {
+  const std::string wire = ThreeRowWire();
+  for (size_t cut = 0; cut <= wire.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    ExpectNextAndNextRowAgree(wire.substr(0, cut));
+  }
+}
+
+TEST(TupleStreamTest, RowViewAndNextAgreeOnMutatedBuffers) {
+  const std::string wire = ThreeRowWire();
+  Random rng(7);
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string mutated = wire;
+    const int edits = static_cast<int>(rng.Uniform(1, 4));
+    for (int e = 0; e < edits; ++e) {
+      size_t pos = static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(mutated.size()) - 1));
+      mutated[pos] = static_cast<char>(rng.Next() & 0xFF);
+    }
+    SCOPED_TRACE(iter);
+    ExpectNextAndNextRowAgree(mutated);
+  }
+}
+
+TEST(TupleStreamTest, CorruptRowReadsAsEndOfStream) {
+  std::string wire = ThreeRowWire();
+  // Corrupt the first field tag of the first row: NextRow stops there, as
+  // Next() does, instead of surfacing a half-parsed row.
+  wire[4] = 42;
+  auto bytes = std::make_shared<const std::string>(wire);
+  TupleStream stream(RelSchema(), bytes, 3);
+  WireRow row;
+  EXPECT_FALSE(stream.NextRow(&row));
+  size_t offset = 0;
+  EXPECT_EQ(ParseWireRow(wire, &offset, &row).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(TupleStreamTest, StreamYieldsAllTuplesInOrder) {

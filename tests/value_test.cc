@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/random.h"
 #include "relational/tuple.h"
 #include "relational/value.h"
@@ -87,6 +90,38 @@ TEST(ValueTest, ToXmlText) {
   EXPECT_EQ(Value::Null().ToXmlText(), "");
   EXPECT_EQ(Value::Int64(7).ToXmlText(), "7");
   EXPECT_EQ(Value::String("a<b").ToXmlText(), "a<b");  // escaping is the writer's job
+}
+
+TEST(ValueTest, AppendXmlTextIsByteIdenticalToToXmlText) {
+  // The tagger renders wire payloads with the append helpers; Value renders
+  // with ToXmlText. Both must produce the same bytes at every edge.
+  const int64_t kBig = int64_t{1} << 53;
+  for (int64_t v : {std::numeric_limits<int64_t>::min(), int64_t{-1},
+                    int64_t{0}, kBig - 1, kBig, kBig + 1,
+                    std::numeric_limits<int64_t>::max()}) {
+    std::string out = "<";
+    AppendInt64XmlText(v, &out);
+    EXPECT_EQ(out, "<" + Value::Int64(v).ToXmlText());
+    EXPECT_EQ(out.substr(1), std::to_string(v));
+  }
+  for (double d : {0.0, -0.0, 1.5, -2.0, 9007199254740991.0,
+                   9007199254740992.0, 9007199254740993.0, 1e15, -1e15,
+                   1e300, -1e300, 1e-300, 4.9e-324,
+                   std::numeric_limits<double>::max(),
+                   std::numeric_limits<double>::infinity()}) {
+    std::string out = "<";
+    AppendDoubleXmlText(d, &out);
+    EXPECT_EQ(out, "<" + Value::Double(d).ToXmlText()) << d;
+  }
+  // Pinned renderings: integral doubles below 1e15 keep ".0"; -0.0 prints
+  // as zero; everything else is %.6g.
+  EXPECT_EQ(Value::Double(-0.0).ToXmlText(), "0.0");
+  EXPECT_EQ(Value::Double(-2.0).ToXmlText(), "-2.0");
+  EXPECT_EQ(Value::Double(9007199254740993.0).ToXmlText(), "9.0072e+15");
+  EXPECT_EQ(Value::Double(1e300).ToXmlText(), "1e+300");
+  EXPECT_EQ(Value::Double(1e-300).ToXmlText(), "1e-300");
+  EXPECT_EQ(Value::Int64(std::numeric_limits<int64_t>::min()).ToXmlText(),
+            "-9223372036854775808");
 }
 
 TEST(ValueTest, CompareIsTotalOrderProperty) {
