@@ -62,7 +62,7 @@ void AppendDeltaRow(Database* db, const std::string& table_name) {
                  table_name.c_str());
     std::exit(1);
   }
-  Tuple row = (*table)->rows().front();
+  Tuple row = (*table)->Row(0);
   Status inserted = (*table)->InsertUnchecked(std::move(row));
   if (!inserted.ok()) {
     std::fprintf(stderr, "delta row rejected: %s\n",

@@ -281,9 +281,34 @@ bool EvalColPred(const ColumnVector& cv, size_t pos, const ColPred& p) {
   }
 }
 
+/// Row ids (ascending) of the rows passing every predicate, evaluated
+/// straight off the typed column arrays — no bound-expression dispatch and
+/// no per-row Value.
+std::vector<uint32_t> SelectRows(const ColumnStore& columns,
+                                 const std::vector<ColPred>& preds) {
+  std::vector<uint32_t> ids;
+  if (std::any_of(preds.begin(), preds.end(), [](const ColPred& p) {
+        return p.op == ColOp::kNever;
+      })) {
+    return ids;  // a NULL-literal comparison passes no row
+  }
+  const size_t n = columns.size();
+  for (size_t row = 0; row < n; ++row) {
+    bool pass = true;
+    for (const ColPred& p : preds) {
+      if (!EvalColPred(columns.column(p.col), row, p)) {
+        pass = false;
+        break;
+      }
+    }
+    if (pass) ids.push_back(static_cast<uint32_t>(row));
+  }
+  return ids;
+}
+
 /// A literal-equality filter with an index on its column, if any: the index
-/// path beats every flavour of full scan, so both MaterializeBaseTable and
-/// the columnar selection scan consult this first.
+/// path beats every flavour of full scan, so ScanBaseTable consults this
+/// first.
 struct IndexProbe {
   const Table::Index* index = nullptr;
   const Value* probe = nullptr;
@@ -315,22 +340,6 @@ IndexProbe FindIndexProbe(const Table& table,
   }
   return {};
 }
-
-/// One side of a hash join: the rows plus, when they borrow a base table,
-/// the table itself — keys then encode straight from its columns
-/// (EncodeTableJoinKey), byte-identical to the row encoding, so chains,
-/// probes, and key counters never change.
-struct JoinSide {
-  const std::vector<Tuple>* rows;
-  const Table* table = nullptr;
-
-  size_t size() const { return rows->size(); }
-  bool EncodeKey(size_t i, const std::vector<size_t>& cols,
-                 std::string* out) const {
-    if (table != nullptr) return EncodeTableJoinKey(*table, i, cols, out);
-    return EncodeJoinKey((*rows)[i], cols, out);
-  }
-};
 
 /// Chained hash index over packed join keys (key_codec.h): one map entry
 /// per distinct key, rows with equal keys threaded through `next_` links
@@ -382,6 +391,43 @@ Tuple NullPadded(const Tuple& left, size_t right_width) {
 }
 
 }  // namespace
+
+Value QueryExecutor::Source::Cell(size_t i, size_t col) const {
+  if (table != nullptr) return table->columns().ValueAt(col, RowId(i));
+  return rows[i].values()[col];
+}
+
+void QueryExecutor::Source::AppendRow(size_t i, Tuple* out) const {
+  if (table != nullptr) {
+    table->columns().AppendRow(RowId(i), out);
+    return;
+  }
+  const std::vector<Value>& cells = rows[i].values();
+  out->mutable_values().insert(out->mutable_values().end(), cells.begin(),
+                               cells.end());
+}
+
+const Tuple& QueryExecutor::Source::Row(size_t i, Tuple* scratch) const {
+  if (table == nullptr) return rows[i];
+  scratch->mutable_values().clear();
+  table->columns().AppendRow(RowId(i), scratch);
+  return *scratch;
+}
+
+Tuple QueryExecutor::Source::AppendedTo(const Tuple& prefix, size_t i) const {
+  if (table == nullptr) return Tuple::Concat(prefix, rows[i]);
+  Tuple out;
+  out.mutable_values().reserve(prefix.size() + schema.size());
+  out.mutable_values() = prefix.values();
+  table->columns().AppendRow(RowId(i), &out);
+  return out;
+}
+
+bool QueryExecutor::Source::EncodeKey(size_t i, const std::vector<size_t>& cols,
+                                      std::string* out) const {
+  if (table != nullptr) return EncodeTableJoinKey(*table, RowId(i), cols, out);
+  return EncodeJoinKey(rows[i], cols, out);
+}
 
 Result<Relation> QueryExecutor::ExecuteSql(std::string_view sql_text) {
   // The timeout caps each query, not the executor: re-arm the deadline so a
@@ -449,141 +495,101 @@ Result<Relation> QueryExecutor::Execute(const sql::Query& query) {
     }
   }
   if (!query.order_by.empty()) {
-    const bool single = query.cores.size() == 1;
-    const RelSchema& preproj_schema =
-        single ? last_preprojection_.schema : result.schema;
-    const std::vector<Tuple>& preproj_rows =
-        single ? (last_preprojection_rows_ != nullptr
-                      ? *last_preprojection_rows_
-                      : last_preprojection_.rows)
-               : result.rows;
-    SILK_RETURN_IF_ERROR(
-        ApplyOrderBy(query, preproj_schema, preproj_rows, &result));
+    SILK_RETURN_IF_ERROR(ApplyOrderBy(query, last_preprojection_, &result));
   }
-  last_preprojection_ = Relation();  // release memory
-  last_preprojection_rows_ = nullptr;
+  last_preprojection_ = Source();  // release memory
   return result;
 }
 
 Result<Relation> QueryExecutor::ExecuteCore(const sql::SelectCore& core,
                                             bool allow_fusion) {
-  const std::vector<Tuple>* borrowed = nullptr;
-  const Table* borrowed_table = nullptr;
   bool fused = false;
-  scan_selection_active_ = false;
   SILK_ASSIGN_OR_RETURN(
-      Relation combined,
-      JoinFromList(core, allow_fusion && !core.select_star, &borrowed,
-                   &borrowed_table, &fused));
-  // Selection-borrowed scan (TryColumnarSelectionScan via JoinFromList):
-  // `borrowed` spans the FULL table and `selection` lists the surviving
-  // row ids in ascending order. Consume the member state here so
-  // recursive cores (derived tables) can never observe it.
-  bool have_selection = scan_selection_active_;
-  std::vector<uint32_t> selection = std::move(scan_selection_);
-  scan_selection_active_ = false;
-  scan_selection_.clear();
+      Source combined,
+      JoinFromList(core, allow_fusion && !core.select_star, &fused));
+  Relation out;
+  const size_t n = combined.size();
 
   if (core.select_star) {
-    if (borrowed != nullptr) {
-      last_preprojection_.schema = combined.schema;
-      last_preprojection_.rows.clear();
-      last_preprojection_rows_ = borrowed;  // aligned: result copies these rows
-      combined.rows = *borrowed;
-    } else {
-      last_preprojection_ = combined;
-      last_preprojection_rows_ = &last_preprojection_.rows;
+    // The output is the source itself, so ORDER BY resolves every key
+    // against the output schema and needs no pre-projection.
+    last_preprojection_ = Source();
+    out.schema = std::move(combined.schema);
+    if (combined.table == nullptr) {
+      out.rows = std::move(combined.rows);
+      return out;
     }
-    return combined;
+    out.rows.resize(n);
+    for (size_t i = 0; i < n; ++i) combined.AppendRow(i, &out.rows[i]);
+    return out;
   }
 
   // Bind projection expressions.
   std::vector<BoundExprPtr> exprs;
-  RelSchema out_schema;
   exprs.reserve(core.select_list.size());
   for (const auto& item : core.select_list) {
     SILK_ASSIGN_OR_RETURN(BoundExprPtr bound,
                           BindExpr(*item.expr, combined.schema));
     exprs.push_back(std::move(bound));
     if (!item.alias.empty()) {
-      out_schema.Add({"", item.alias});
+      out.schema.Add({"", item.alias});
     } else if (item.expr->kind() == Expr::Kind::kColumnRef) {
       const auto& c = static_cast<const sql::ColumnRefExpr&>(*item.expr);
-      out_schema.Add({c.qualifier(), c.name()});
+      out.schema.Add({c.qualifier(), c.name()});
     } else {
-      out_schema.Add({"", "col" + std::to_string(out_schema.size() + 1)});
+      out.schema.Add({"", "col" + std::to_string(out.schema.size() + 1)});
     }
   }
 
-  // Pure column projections (the shape SilkRoute's view composer emits)
-  // copy cells by index instead of dispatching a bound expression per cell.
-  std::vector<size_t> direct_cols;
-  direct_cols.reserve(core.select_list.size());
-  bool all_direct = true;
-  for (const auto& item : core.select_list) {
-    if (item.expr->kind() != Expr::Kind::kColumnRef) {
-      all_direct = false;
-      break;
+  // How each select item reads a source row: a column ref copies its cell
+  // by index and a literal copies its value, so the shapes SilkRoute's view
+  // composer emits (column refs, label constants, NULLs) never build the
+  // row — over a base table only the selected cells of the kept row ids
+  // are gathered. Any other expression evaluates over the whole row.
+  struct Item {
+    int col = -1;           // column ref: the source column
+    bool constant = false;  // literal: `value` on every row
+    Value value;
+  };
+  std::vector<Item> items(core.select_list.size());
+  bool needs_row = false;
+  for (size_t k = 0; k < items.size(); ++k) {
+    const Expr& e = *core.select_list[k].expr;
+    if (e.kind() == Expr::Kind::kColumnRef) {
+      const auto& c = static_cast<const sql::ColumnRefExpr&>(e);
+      auto idx = combined.schema.Resolve(c.qualifier(), c.name());
+      if (idx.ok()) {
+        items[k].col = static_cast<int>(*idx);
+        continue;
+      }
+    } else if (e.kind() == Expr::Kind::kLiteral) {
+      items[k].constant = true;
+      items[k].value = static_cast<const sql::LiteralExpr&>(e).value();
+      continue;
     }
-    const auto& c = static_cast<const sql::ColumnRefExpr&>(*item.expr);
-    auto idx = combined.schema.Resolve(c.qualifier(), c.name());
-    if (!idx.ok()) {
-      all_direct = false;
-      break;
-    }
-    direct_cols.push_back(*idx);
+    needs_row = true;
   }
 
-  if (have_selection && !all_direct) {
-    // Rare shape behind a selection scan (expression projection):
-    // materialize the survivors so the generic paths below see exactly
-    // the filtered rows — same copies MaterializeBaseTable would have
-    // made, so this never regresses the pre-selection behaviour.
-    combined.rows.reserve(selection.size());
-    for (uint32_t gid : selection) combined.rows.push_back((*borrowed)[gid]);
-    borrowed = nullptr;
-    borrowed_table = nullptr;
-    have_selection = false;
-  }
-  const std::vector<Tuple>& in_rows =
-      borrowed != nullptr ? *borrowed : combined.rows;
-
-  Relation out;
-  out.schema = std::move(out_schema);
   if (fused) {
     // JoinFromList already produced the projected rows.
     out.rows = std::move(combined.rows);
-  } else if (all_direct && borrowed_table != nullptr) {
-    // Borrowed base scan + pure column projection: gather the selected
-    // cells straight from the table's columns instead of walking the
-    // row-store tuples. ValueAt reproduces the stored Value representation
-    // exactly, so the projected stream is unchanged. With a selection the
-    // gather visits only the surviving row ids, in order — filter and
-    // projection fuse with no intermediate row copy at all.
-    const ColumnStore& columns = borrowed_table->columns();
-    const size_t n = have_selection ? selection.size() : in_rows.size();
-    out.rows.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t row = have_selection ? selection[i] : i;
-      Tuple projected;
-      projected.mutable_values().reserve(direct_cols.size());
-      for (size_t c : direct_cols) projected.Append(columns.ValueAt(c, row));
-      out.rows.push_back(std::move(projected));
-    }
-  } else if (all_direct) {
-    out.rows.reserve(in_rows.size());
-    for (const auto& row : in_rows) {
-      Tuple projected;
-      projected.mutable_values().reserve(direct_cols.size());
-      for (size_t c : direct_cols) projected.Append(row.values()[c]);
-      out.rows.push_back(std::move(projected));
-    }
   } else {
-    out.rows.reserve(in_rows.size());
-    for (const auto& row : in_rows) {
+    out.rows.reserve(n);
+    Tuple scratch;
+    for (size_t i = 0; i < n; ++i) {
+      const Tuple* row = needs_row ? &combined.Row(i, &scratch) : nullptr;
       Tuple projected;
-      projected.mutable_values().reserve(exprs.size());
-      for (const auto& e : exprs) projected.Append(e->Eval(row));
+      projected.mutable_values().reserve(items.size());
+      for (size_t k = 0; k < items.size(); ++k) {
+        const Item& item = items[k];
+        if (item.col >= 0) {
+          projected.Append(combined.Cell(i, static_cast<size_t>(item.col)));
+        } else if (item.constant) {
+          projected.Append(item.value);
+        } else {
+          projected.Append(exprs[k]->Eval(*row));
+        }
+      }
       out.rows.push_back(std::move(projected));
     }
   }
@@ -609,64 +615,38 @@ Result<Relation> QueryExecutor::ExecuteCore(const sql::SelectCore& core,
       }
     }
     out.rows = std::move(unique);
-    // DISTINCT breaks row alignment; ORDER BY must use the output schema.
-    last_preprojection_ = Relation();
-    last_preprojection_rows_ = nullptr;
-  } else if (fused || have_selection) {
-    // Fusion and selection scans are only allowed when nothing downstream
-    // reads the pre-projection rows (no ORDER BY in the enclosing query);
-    // with a selection the borrowed rows span the whole table and are not
-    // aligned with the output.
-    last_preprojection_ = Relation();
-    last_preprojection_rows_ = nullptr;
-  } else if (borrowed != nullptr) {
-    last_preprojection_.schema = std::move(combined.schema);
-    last_preprojection_.rows.clear();
-    last_preprojection_rows_ = borrowed;
+  }
+  // DISTINCT breaks row alignment, and fused rows have no wide rows behind
+  // them (fusion only runs when no ORDER BY follows).
+  if (core.distinct || fused) {
+    last_preprojection_ = Source();
   } else {
     last_preprojection_ = std::move(combined);
-    last_preprojection_rows_ = &last_preprojection_.rows;
   }
   return out;
 }
 
-Result<Relation> QueryExecutor::JoinFromList(
-    const sql::SelectCore& core, bool allow_fusion,
-    const std::vector<Tuple>** borrowed_rows, const Table** borrowed_table,
-    bool* fused) {
-  *borrowed_rows = nullptr;
-  *borrowed_table = nullptr;
+Result<QueryExecutor::Source> QueryExecutor::JoinFromList(
+    const sql::SelectCore& core, bool allow_fusion, bool* fused) {
   *fused = false;
   if (core.from.empty()) {
     // `select <literals>`: one empty source row.
-    Relation r;
+    Source r;
     r.rows.emplace_back();
     return r;
   }
 
-  // Evaluate each FROM item. Base tables are deferred (schema only) so the
-  // pushdown filters below can drive an index probe or a filtered scan
-  // instead of copying the whole table.
-  std::vector<Relation> items;
-  std::vector<const Table*> deferred_base(core.from.size(), nullptr);
-  // borrowed[i] non-null: items[i].rows stay empty and the item reads the
-  // base table's rows in place — no per-query copy of the table.
-  std::vector<const std::vector<Tuple>*> borrowed(core.from.size(), nullptr);
+  // Evaluate each FROM item. Base tables stay in place, unscanned, so the
+  // pushdown filters below can narrow them to a row-id list.
+  std::vector<Source> items;
   items.reserve(core.from.size());
   for (const auto& ref : core.from) {
-    if (ref->kind() == sql::TableRef::Kind::kBaseTable) {
-      const auto& base = static_cast<const sql::BaseTableRef&>(*ref);
-      SILK_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(base.table()));
-      Relation rel;
-      for (const auto& col : table->schema().columns()) {
-        rel.schema.Add({base.binding_name(), col.name});
-      }
-      deferred_base[items.size()] = table;
-      items.push_back(std::move(rel));
-      continue;
-    }
-    SILK_ASSIGN_OR_RETURN(Relation rel, EvalTableRef(*ref));
-    items.push_back(std::move(rel));
+    SILK_ASSIGN_OR_RETURN(
+        Source item,
+        ref->kind() == sql::TableRef::Kind::kBaseTable
+            ? TableSource(static_cast<const sql::BaseTableRef&>(*ref))
+            : EvalTableRef(*ref));
+    items.push_back(std::move(item));
   }
 
   // Classify WHERE conjuncts.
@@ -707,98 +687,32 @@ Result<Relation> QueryExecutor::JoinFromList(
     residual.push_back(c);
   }
 
-  // Push single-item filters down. Deferred base tables materialize here,
-  // through an index probe when a literal-equality filter has one.
+  // Push single-item filters down. Base tables are scanned here: an index
+  // probe or a filter narrows them to the row ids that pass.
   for (size_t i = 0; i < items.size(); ++i) {
-    if (deferred_base[i] != nullptr) {
-      if (pushdown[i].empty()) {
-        // Unfiltered scan: borrow the table's rows instead of copying them.
-        // Everything downstream reads the item until its rows land in an
-        // owned join output, and the database outlives the query.
-        borrowed[i] = &deferred_base[i]->rows();
-        stats_.rows_scanned += borrowed[i]->size();
-        continue;
-      }
-      if (allow_fusion && items.size() == 1 && residual.empty()) {
-        // Single-table filtered scan feeding a pure projection (no joins,
-        // no residual, no ORDER BY behind us — allow_fusion guarantees
-        // nothing downstream reads aligned pre-projection rows): skip row
-        // materialization entirely. The selection scan records surviving
-        // row ids; the table is borrowed and ExecuteCore's projection
-        // gathers survivor cells straight from the columns, so full-width
-        // survivor tuples are never copied.
-        SILK_ASSIGN_OR_RETURN(
-            const bool selected,
-            TryColumnarSelectionScan(*deferred_base[i], pushdown[i],
-                                     items[i].schema));
-        if (selected) {
-          borrowed[i] = &deferred_base[i]->rows();
-          continue;
-        }
-      }
-      SILK_RETURN_IF_ERROR(
-          MaterializeBaseTable(*deferred_base[i], pushdown[i], &items[i]));
-      continue;
+    if (items[i].table != nullptr) {
+      SILK_RETURN_IF_ERROR(ScanBaseTable(pushdown[i], &items[i]));
+    } else {
+      SILK_RETURN_IF_ERROR(FilterSource(pushdown[i], &items[i]));
     }
-    if (pushdown[i].empty()) continue;
-    std::vector<BoundExprPtr> filters;
-    for (const Expr* e : pushdown[i]) {
-      SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, items[i].schema));
-      filters.push_back(std::move(b));
-    }
-    std::vector<Tuple> kept;
-    kept.reserve(items[i].rows.size());
-    for (auto& row : items[i].rows) {
-      bool pass = true;
-      for (const auto& f : filters) {
-        if (f->Test(row) != Tribool::kTrue) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) kept.push_back(std::move(row));
-    }
-    items[i].rows = std::move(kept);
   }
 
-  auto rows_of = [&](size_t i) -> const std::vector<Tuple>& {
-    return borrowed[i] != nullptr ? *borrowed[i] : items[i].rows;
-  };
-  // The base table behind a borrowed item (join keys then encode from its
-  // columns).
-  auto table_of = [&](size_t i) -> const Table* {
-    return borrowed[i] != nullptr ? deferred_base[i] : nullptr;
-  };
-
   // Projection fusion: when every select item is a plain column ref, the
-  // final greedy join can emit row-id pairs and project straight off its
-  // inputs, skipping the wide concatenated tuples entirely (provided no
-  // residual predicate survives — checked after the join loop).
+  // final greedy join can project straight off its inputs, skipping the
+  // wide concatenated tuples entirely (provided no residual predicate
+  // survives the joins).
   const bool can_fuse =
       allow_fusion && items.size() > 1 &&
       std::all_of(core.select_list.begin(), core.select_list.end(),
                   [](const sql::SelectItem& item) {
                     return item.expr->kind() == Expr::Kind::kColumnRef;
                   });
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  bool have_pairs = false;
-  size_t pair_cand = 0;
-  std::vector<size_t> fuse_cols;  // select columns in the wide schema
 
   // Greedy hash-join order: start with item 0, repeatedly join the smallest
   // connected unjoined item.
   std::vector<bool> joined(items.size(), false);
-  std::vector<int> item_of;  // which joined item each original index maps to
-  Relation current;
-  current.schema = std::move(items[0].schema);
-  const std::vector<Tuple>* current_borrow = borrowed[0];
-  const Table* current_table = table_of(0);
-  if (current_borrow == nullptr) current.rows = std::move(items[0].rows);
-  auto current_rows = [&]() -> const std::vector<Tuple>& {
-    return current_borrow != nullptr ? *current_borrow : current.rows;
-  };
+  Source current = std::move(items[0]);
   joined[0] = true;
-  std::vector<size_t> joined_set = {0};
   size_t num_joined = 1;
 
   auto pred_connects = [&](const JoinPred& p, size_t candidate) {
@@ -820,7 +734,7 @@ Result<Relation> QueryExecutor::JoinFromList(
                                    });
       if (!connected) continue;
       if (best < 0 ||
-          rows_of(cand).size() < rows_of(static_cast<size_t>(best)).size()) {
+          items[cand].size() < items[static_cast<size_t>(best)].size()) {
         best = static_cast<int>(cand);
       }
     }
@@ -836,23 +750,21 @@ Result<Relation> QueryExecutor::JoinFromList(
       cross_product = true;
     }
     size_t cand = static_cast<size_t>(best);
-    Relation& right = items[cand];
+    const Source& right = items[cand];
 
     if (cross_product) {
-      Relation combined;
+      Source combined;
       combined.schema = RelSchema::Concat(current.schema, right.schema);
-      const std::vector<Tuple>& lrows = current_rows();
-      const std::vector<Tuple>& rrows = rows_of(cand);
-      combined.rows.reserve(lrows.size() * rrows.size());
-      for (const auto& l : lrows) {
+      combined.rows.reserve(current.size() * right.size());
+      Tuple scratch;
+      for (size_t l = 0; l < current.size(); ++l) {
         SILK_RETURN_IF_ERROR(CheckDeadline());
-        for (const auto& r : rrows) {
-          combined.rows.push_back(Tuple::Concat(l, r));
+        const Tuple& lrow = current.Row(l, &scratch);
+        for (size_t r = 0; r < right.size(); ++r) {
+          combined.rows.push_back(right.AppendedTo(lrow, r));
         }
       }
       current = std::move(combined);
-      current_borrow = nullptr;
-      current_table = nullptr;
     } else {
       // Gather all usable predicates between the joined set and `cand`.
       std::vector<std::pair<size_t, size_t>> keys;
@@ -868,37 +780,28 @@ Result<Relation> QueryExecutor::JoinFromList(
         keys.emplace_back(*li, *ri);
         p.used = true;
       }
-      if (can_fuse && num_joined + 1 == items.size()) {
+      // The last join fuses when nothing is left to filter afterwards.
+      std::vector<size_t> fuse_cols;  // select columns in the wide schema
+      bool fuse = can_fuse && num_joined + 1 == items.size() &&
+                  residual.empty() &&
+                  std::none_of(join_preds.begin(), join_preds.end(),
+                               [](const JoinPred& p) { return !p.used; });
+      if (fuse) {
         RelSchema wide = RelSchema::Concat(current.schema, right.schema);
-        fuse_cols.clear();
-        bool resolved = true;
         for (const auto& item : core.select_list) {
           const auto& c = static_cast<const sql::ColumnRefExpr&>(*item.expr);
           auto idx = wide.Resolve(c.qualifier(), c.name());
           if (!idx.ok()) {
-            resolved = false;
+            fuse = false;
             break;
           }
           fuse_cols.push_back(*idx);
         }
-        if (resolved) {
-          SILK_ASSIGN_OR_RETURN(
-              pairs, HashJoinPairs(current_rows(), rows_of(cand), keys,
-                                   current_table, table_of(cand)));
-          have_pairs = true;
-          pair_cand = cand;
-          joined[cand] = true;
-          ++num_joined;
-          continue;  // num_joined == items.size(): exits the loop
-        }
       }
       SILK_ASSIGN_OR_RETURN(
-          current, HashJoin(sql::JoinType::kInner, current.schema,
-                            current_rows(), right.schema, rows_of(cand), keys,
-                            /*residual=*/nullptr, current_table,
-                            table_of(cand)));
-      current_borrow = nullptr;
-      current_table = nullptr;
+          current, HashJoin(sql::JoinType::kInner, current, right, keys,
+                            /*residual=*/nullptr, fuse ? &fuse_cols : nullptr));
+      *fused = fuse;
     }
     joined[cand] = true;
     ++num_joined;
@@ -909,124 +812,45 @@ Result<Relation> QueryExecutor::JoinFromList(
   for (const auto& p : join_preds) {
     if (!p.used) leftover.push_back(p.expr);
   }
-  if (have_pairs) {
-    const std::vector<Tuple>& lrows = current_rows();
-    const std::vector<Tuple>& rrows = rows_of(pair_cand);
-    const size_t left_width = current.schema.size();
-    if (leftover.empty()) {
-      // Project straight off the join inputs: the wide tuples never exist.
-      std::vector<Tuple> projected;
-      projected.reserve(pairs.size());
-      for (const auto& [li, ri] : pairs) {
-        Tuple t;
-        t.mutable_values().reserve(fuse_cols.size());
-        for (size_t c : fuse_cols) {
-          t.Append(c < left_width ? lrows[li].values()[c]
-                                  : rrows[ri].values()[c - left_width]);
-        }
-        projected.push_back(std::move(t));
-      }
-      current.schema =
-          RelSchema::Concat(current.schema, items[pair_cand].schema);
-      current.rows = std::move(projected);
-      *fused = true;
-      return current;
-    }
-    // A residual predicate needs the wide rows after all: materialize them
-    // from the pairs (same order HashJoin would have emitted).
-    std::vector<Tuple> wide;
-    wide.reserve(pairs.size());
-    for (const auto& [li, ri] : pairs) {
-      wide.push_back(Tuple::Concat(lrows[li], rrows[ri]));
-    }
-    current.schema = RelSchema::Concat(current.schema, items[pair_cand].schema);
-    current.rows = std::move(wide);
-    current_borrow = nullptr;
-  }
-  if (!leftover.empty()) {
-    std::vector<BoundExprPtr> filters;
-    for (const Expr* e : leftover) {
-      SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, current.schema));
-      filters.push_back(std::move(b));
-    }
-    auto passes = [&filters](const Tuple& row) {
-      for (const auto& f : filters) {
-        if (f->Test(row) != Tribool::kTrue) return false;
-      }
-      return true;
-    };
-    std::vector<Tuple> kept;
-    if (current_borrow != nullptr) {
-      // Borrowed rows belong to the table: copy the survivors.
-      kept.reserve(current_rows().size());
-      for (const auto& row : *current_borrow) {
-        if (passes(row)) kept.push_back(row);
-      }
-      current_borrow = nullptr;
-    } else {
-      kept.reserve(current_rows().size());
-      for (auto& row : current.rows) {
-        if (passes(row)) kept.push_back(std::move(row));
-      }
-    }
-    current.rows = std::move(kept);
-  }
-  *borrowed_rows = current_borrow;
-  *borrowed_table = current_borrow != nullptr ? current_table : nullptr;
+  SILK_RETURN_IF_ERROR(FilterSource(leftover, &current));
   return current;
 }
 
-Status QueryExecutor::MaterializeBaseTable(
-    const Table& table, const std::vector<const sql::Expr*>& filters,
-    Relation* out) {
-  // Look for a literal-equality filter with an index on its column.
+Status QueryExecutor::ScanBaseTable(
+    const std::vector<const sql::Expr*>& filters, Source* src) {
+  const Table& table = *src->table;
   const IndexProbe ip = FindIndexProbe(table, filters);
-
   if (ip.index != nullptr) {
-    std::vector<BoundExprPtr> bound;
-    bound.reserve(filters.size());
-    for (const sql::Expr* e : filters) {
-      SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, out->schema));
-      bound.push_back(std::move(b));
-    }
+    // The probe's matches in index order; every filter (the probed one
+    // included) then runs on each.
+    std::vector<uint32_t> ids;
     auto [begin, end] = ip.index->equal_range(*ip.probe);
     for (auto it = begin; it != end; ++it) {
-      ++stats_.rows_scanned;
-      ++stats_.index_probes;
-      const Tuple& row = table.rows()[it->second];
-      bool pass = true;
-      for (const auto& f : bound) {
-        if (f->Test(row) != Tribool::kTrue) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) out->rows.push_back(row);
+      ids.push_back(static_cast<uint32_t>(it->second));
     }
-    return Status::OK();
+    stats_.rows_scanned += ids.size();
+    stats_.index_probes += ids.size();
+    src->ids = std::move(ids);
+    return FilterSource(filters, src);
   }
 
-  // Columnar scan: the selection pass evaluates compiled column-vs-literal
-  // predicates over the table's typed column arrays and yields surviving
-  // row ids in ascending order; materializing rows in that order
-  // reproduces the row-major scan's tuple stream byte for byte.
-  SILK_ASSIGN_OR_RETURN(const bool columnar,
-                        TryColumnarSelectionScan(table, filters, out->schema));
-  if (columnar) {
-    scan_selection_active_ = false;
-    const std::vector<uint32_t> sel = std::move(scan_selection_);
-    scan_selection_.clear();
-    const std::vector<Tuple>& rows = table.rows();
-    out->rows.reserve(out->rows.size() + sel.size());
-    for (uint32_t row : sel) out->rows.push_back(rows[row]);
-    return Status::OK();
-  }
   stats_.rows_scanned += table.num_rows();
+  std::vector<ColPred> preds;
+  if (filters.empty() || !CompileColumnPreds(filters, src->schema, &preds)) {
+    return FilterSource(filters, src);
+  }
+  // Position equals row id, so survivors come out in table row order.
+  src->ids = SelectRows(table.columns(), preds);
+  return Status::OK();
+}
 
+Status QueryExecutor::FilterSource(
+    const std::vector<const sql::Expr*>& filters, Source* src) {
+  if (filters.empty()) return Status::OK();
   std::vector<BoundExprPtr> bound;
   bound.reserve(filters.size());
   for (const sql::Expr* e : filters) {
-    SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, out->schema));
+    SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, src->schema));
     bound.push_back(std::move(b));
   }
   auto passes = [&bound](const Tuple& row) {
@@ -1035,60 +859,45 @@ Status QueryExecutor::MaterializeBaseTable(
     }
     return true;
   };
-  for (const Tuple& row : table.rows()) {
-    if (passes(row)) out->rows.push_back(row);
+  if (src->table == nullptr) {
+    std::vector<Tuple> kept;
+    kept.reserve(src->rows.size());
+    for (auto& row : src->rows) {
+      if (passes(row)) kept.push_back(std::move(row));
+    }
+    src->rows = std::move(kept);
+    return Status::OK();
   }
+  std::vector<uint32_t> kept;
+  Tuple scratch;
+  for (size_t i = 0; i < src->size(); ++i) {
+    if (passes(src->Row(i, &scratch))) {
+      kept.push_back(static_cast<uint32_t>(src->RowId(i)));
+    }
+  }
+  src->ids = std::move(kept);
   return Status::OK();
 }
 
-Result<bool> QueryExecutor::TryColumnarSelectionScan(
-    const Table& table, const std::vector<const sql::Expr*>& filters,
-    const RelSchema& schema) {
-  // An index probe beats any full scan; leave those filters to
-  // MaterializeBaseTable's index path.
-  if (FindIndexProbe(table, filters).index != nullptr) return false;
-  std::vector<ColPred> preds;
-  if (!CompileColumnPreds(filters, schema, &preds)) return false;
-
-  stats_.rows_scanned += table.num_rows();
-  scan_selection_.clear();
-  scan_selection_active_ = true;
-  const size_t n = table.num_rows();
-  if (n == 0) return true;
-  if (std::any_of(preds.begin(), preds.end(), [](const ColPred& p) {
-        return p.op == ColOp::kNever;
-      })) {
-    return true;  // a NULL-literal comparison passes no rows
+Result<QueryExecutor::Source> QueryExecutor::TableSource(
+    const sql::BaseTableRef& ref) const {
+  SILK_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(ref.table()));
+  Source src;
+  for (const auto& col : table->schema().columns()) {
+    src.schema.Add({ref.binding_name(), col.name});
   }
-  // Predicate evaluation reads the typed column arrays directly — no
-  // bound-expression dispatch and no per-row Value materialization.
-  // Position equals row id, so survivors come out in table row order.
-  const ColumnStore& columns = table.columns();
-  for (size_t row = 0; row < n; ++row) {
-    bool pass = true;
-    for (const ColPred& p : preds) {
-      if (!EvalColPred(columns.column(p.col), row, p)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) scan_selection_.push_back(static_cast<uint32_t>(row));
-  }
-  return true;
+  src.table = table;
+  return src;
 }
 
-Result<Relation> QueryExecutor::EvalTableRef(const sql::TableRef& ref) {
+Result<QueryExecutor::Source> QueryExecutor::EvalTableRef(
+    const sql::TableRef& ref) {
   switch (ref.kind()) {
     case sql::TableRef::Kind::kBaseTable: {
-      const auto& base = static_cast<const sql::BaseTableRef&>(ref);
-      SILK_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(base.table()));
-      Relation rel;
-      for (const auto& col : table->schema().columns()) {
-        rel.schema.Add({base.binding_name(), col.name});
-      }
-      rel.rows = table->rows();  // copy: intermediate results are mutable
-      stats_.rows_scanned += rel.rows.size();
-      return rel;
+      SILK_ASSIGN_OR_RETURN(
+          Source src, TableSource(static_cast<const sql::BaseTableRef&>(ref)));
+      stats_.rows_scanned += src.size();
+      return src;
     }
     case sql::TableRef::Kind::kDerivedTable: {
       const auto& derived = static_cast<const sql::DerivedTableRef&>(ref);
@@ -1107,8 +916,10 @@ Result<Relation> QueryExecutor::EvalTableRef(const sql::TableRef& ref) {
       stats_.index_probes += sub.stats_.index_probes;
       stats_.keys_encoded += sub.stats_.keys_encoded;
       stats_.bytes_encoded += sub.stats_.bytes_encoded;
-      rel.schema = rel.schema.WithQualifier(derived.alias());
-      return rel;
+      Source src;
+      src.schema = rel.schema.WithQualifier(derived.alias());
+      src.rows = std::move(rel.rows);
+      return src;
     }
     case sql::TableRef::Kind::kJoin:
       return EvalJoin(static_cast<const sql::JoinRef&>(ref));
@@ -1116,16 +927,16 @@ Result<Relation> QueryExecutor::EvalTableRef(const sql::TableRef& ref) {
   return Status::Internal("unknown table ref kind");
 }
 
-Result<Relation> QueryExecutor::EvalJoin(const sql::JoinRef& join) {
-  SILK_ASSIGN_OR_RETURN(Relation left, EvalTableRef(join.left()));
-  SILK_ASSIGN_OR_RETURN(Relation right, EvalTableRef(join.right()));
-  return JoinRelations(join.join_type(), std::move(left), std::move(right),
-                       join.on());
+Result<QueryExecutor::Source> QueryExecutor::EvalJoin(
+    const sql::JoinRef& join) {
+  SILK_ASSIGN_OR_RETURN(Source left, EvalTableRef(join.left()));
+  SILK_ASSIGN_OR_RETURN(Source right, EvalTableRef(join.right()));
+  return JoinRelations(join.join_type(), left, right, join.on());
 }
 
-Result<Relation> QueryExecutor::JoinRelations(sql::JoinType type,
-                                              Relation left, Relation right,
-                                              const sql::Expr& on) {
+Result<QueryExecutor::Source> QueryExecutor::JoinRelations(
+    sql::JoinType type, const Source& left, const Source& right,
+    const sql::Expr& on) {
   // Case 1: conjunction with at least one column equality -> hash join.
   {
     std::vector<const Expr*> conjuncts;
@@ -1160,8 +971,7 @@ Result<Relation> QueryExecutor::JoinRelations(sql::JoinType type,
         for (const Expr* e : residual_parts) clones.push_back(e->Clone());
         residual_expr = sql::AndAll(std::move(clones));
       }
-      return HashJoin(type, left.schema, left.rows, right.schema, right.rows,
-                      keys, residual_expr.get());
+      return HashJoin(type, left, right, keys, residual_expr.get());
     }
   }
 
@@ -1176,15 +986,12 @@ Result<Relation> QueryExecutor::JoinRelations(sql::JoinType type,
   return NestedLoopJoin(type, left, right, on);
 }
 
-Result<Relation> QueryExecutor::HashJoin(
-    sql::JoinType type, const RelSchema& left_schema,
-    const std::vector<Tuple>& left_rows, const RelSchema& right_schema,
-    const std::vector<Tuple>& right_rows,
+Result<QueryExecutor::Source> QueryExecutor::HashJoin(
+    sql::JoinType type, const Source& left, const Source& right,
     const std::vector<std::pair<size_t, size_t>>& keys,
-    const sql::Expr* residual, const Table* left_table,
-    const Table* right_table) {
-  Relation out;
-  out.schema = RelSchema::Concat(left_schema, right_schema);
+    const sql::Expr* residual, const std::vector<size_t>* project) {
+  Source out;
+  out.schema = RelSchema::Concat(left.schema, right.schema);
 
   BoundExprPtr residual_bound;
   if (residual != nullptr) {
@@ -1200,41 +1007,55 @@ Result<Relation> QueryExecutor::HashJoin(
     right_cols.push_back(ri);
   }
 
-  const size_t right_width = right_schema.size();
-  const JoinSide build{&right_rows, right_table};
-  const JoinSide probe{&left_rows, left_table};
   EncodedKeyIndex index;
-  index.Reserve(right_rows.size());
+  index.Reserve(right.size());
   std::string scratch;
-  for (size_t r = 0; r < right_rows.size(); ++r) {
+  for (size_t r = 0; r < right.size(); ++r) {
     scratch.clear();
     // EncodeKey returns false on a NULL key column: such rows can
     // never match, so they are simply not indexed.
-    if (!build.EncodeKey(r, right_cols, &scratch)) continue;
+    if (!right.EncodeKey(r, right_cols, &scratch)) continue;
     ++stats_.keys_encoded;
     stats_.bytes_encoded += scratch.size();
     index.Insert(scratch, static_cast<uint32_t>(r));
   }
 
   ++stats_.hash_joins;
+  const size_t left_width = left.schema.size();
+  const size_t right_width = right.schema.size();
+  Tuple left_scratch;
   size_t deadline_check = 0;
-  for (size_t l = 0; l < left_rows.size(); ++l) {
-    const Tuple& lrow = left_rows[l];
+  for (size_t l = 0; l < left.size(); ++l) {
     if ((++deadline_check & 0xFF) == 0) {
       SILK_RETURN_IF_ERROR(CheckDeadline());
     }
     scratch.clear();
     bool matched = false;
-    if (probe.EncodeKey(l, left_cols, &scratch)) {
+    if (left.EncodeKey(l, left_cols, &scratch)) {
       ++stats_.keys_encoded;
       stats_.bytes_encoded += scratch.size();
       // The chain yields matches in ascending right-row order (rows were
       // inserted in row order), so equal-key output is deterministic in
-      // right-row order — which fused streams rely on — without the sort
-      // the multimap's equal_range used to need.
-      for (uint32_t r = index.Find(scratch); r != EncodedKeyIndex::kNil;
-           r = index.NextRow(r)) {
-        Tuple combined = Tuple::Concat(lrow, right_rows[r]);
+      // right-row order — which fused streams rely on.
+      uint32_t r = index.Find(scratch);
+      if (project != nullptr) {
+        // Fused: gather only the select-list cells of each match.
+        for (; r != EncodedKeyIndex::kNil; r = index.NextRow(r)) {
+          Tuple t;
+          t.mutable_values().reserve(project->size());
+          for (size_t c : *project) {
+            t.Append(c < left_width ? left.Cell(l, c)
+                                    : right.Cell(r, c - left_width));
+          }
+          out.rows.push_back(std::move(t));
+        }
+        continue;
+      }
+      for (; r != EncodedKeyIndex::kNil; r = index.NextRow(r)) {
+        Tuple combined;
+        combined.mutable_values().reserve(left_width + right_width);
+        left.AppendRow(l, &combined);
+        right.AppendRow(r, &combined);
         if (residual_bound &&
             residual_bound->Test(combined) != Tribool::kTrue) {
           continue;
@@ -1244,63 +1065,16 @@ Result<Relation> QueryExecutor::HashJoin(
       }
     }
     if (!matched && type == sql::JoinType::kLeftOuter) {
-      out.rows.push_back(NullPadded(lrow, right_width));
+      out.rows.push_back(NullPadded(left.Row(l, &left_scratch), right_width));
     }
   }
   stats_.rows_joined += out.rows.size();
   return out;
 }
 
-Result<std::vector<std::pair<uint32_t, uint32_t>>> QueryExecutor::HashJoinPairs(
-    const std::vector<Tuple>& left_rows, const std::vector<Tuple>& right_rows,
-    const std::vector<std::pair<size_t, size_t>>& keys,
-    const Table* left_table, const Table* right_table) {
-  std::vector<size_t> left_cols;
-  std::vector<size_t> right_cols;
-  left_cols.reserve(keys.size());
-  right_cols.reserve(keys.size());
-  for (const auto& [li, ri] : keys) {
-    left_cols.push_back(li);
-    right_cols.push_back(ri);
-  }
-
-  const JoinSide build{&right_rows, right_table};
-  const JoinSide probe{&left_rows, left_table};
-  EncodedKeyIndex index;
-  index.Reserve(right_rows.size());
-  std::string scratch;
-  for (size_t r = 0; r < right_rows.size(); ++r) {
-    scratch.clear();
-    if (!build.EncodeKey(r, right_cols, &scratch)) continue;
-    ++stats_.keys_encoded;
-    stats_.bytes_encoded += scratch.size();
-    index.Insert(scratch, static_cast<uint32_t>(r));
-  }
-
-  ++stats_.hash_joins;
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  size_t deadline_check = 0;
-  for (uint32_t l = 0; l < left_rows.size(); ++l) {
-    if ((++deadline_check & 0xFF) == 0) {
-      SILK_RETURN_IF_ERROR(CheckDeadline());
-    }
-    scratch.clear();
-    if (!probe.EncodeKey(l, left_cols, &scratch)) continue;
-    ++stats_.keys_encoded;
-    stats_.bytes_encoded += scratch.size();
-    for (uint32_t r = index.Find(scratch); r != EncodedKeyIndex::kNil;
-         r = index.NextRow(r)) {
-      pairs.emplace_back(l, r);
-    }
-  }
-  stats_.rows_joined += pairs.size();
-  return pairs;
-}
-
-Result<Relation> QueryExecutor::DisjunctiveHashJoin(sql::JoinType type,
-                                                    Relation& left,
-                                                    Relation& right,
-                                                    const sql::Expr& on) {
+Result<QueryExecutor::Source> QueryExecutor::DisjunctiveHashJoin(
+    sql::JoinType type, const Source& left, const Source& right,
+    const sql::Expr& on) {
   std::vector<const Expr*> disjuncts;
   CollectDisjuncts(on, &disjuncts);
   if (disjuncts.size() < 2) {
@@ -1362,19 +1136,23 @@ Result<Relation> QueryExecutor::DisjunctiveHashJoin(sql::JoinType type,
 
   // Build one packed-key index per disjunct.
   std::string scratch;
+  Tuple row_scratch;
   for (auto& plan : plans) {
-    plan.index.Reserve(right.rows.size());
-    for (size_t r = 0; r < right.rows.size(); ++r) {
-      bool pass = true;
-      for (const auto& f : plan.right_filters) {
-        if (f->Test(right.rows[r]) != Tribool::kTrue) {
-          pass = false;
-          break;
+    plan.index.Reserve(right.size());
+    for (size_t r = 0; r < right.size(); ++r) {
+      if (!plan.right_filters.empty()) {
+        const Tuple& rrow = right.Row(r, &row_scratch);
+        bool pass = true;
+        for (const auto& f : plan.right_filters) {
+          if (f->Test(rrow) != Tribool::kTrue) {
+            pass = false;
+            break;
+          }
         }
+        if (!pass) continue;
       }
-      if (!pass) continue;
       scratch.clear();
-      if (!EncodeJoinKey(right.rows[r], plan.right_cols, &scratch)) continue;
+      if (!right.EncodeKey(r, plan.right_cols, &scratch)) continue;
       ++stats_.keys_encoded;
       stats_.bytes_encoded += scratch.size();
       plan.index.Insert(scratch, static_cast<uint32_t>(r));
@@ -1382,15 +1160,16 @@ Result<Relation> QueryExecutor::DisjunctiveHashJoin(sql::JoinType type,
   }
 
   ++stats_.hash_joins;
-  Relation out;
+  Source out;
   out.schema = RelSchema::Concat(left.schema, right.schema);
   const size_t right_width = right.schema.size();
   std::vector<uint32_t> match_ids;
   size_t deadline_check = 0;
-  for (const auto& lrow : left.rows) {
+  for (size_t l = 0; l < left.size(); ++l) {
     if ((++deadline_check & 0xFF) == 0) {
       SILK_RETURN_IF_ERROR(CheckDeadline());
     }
+    const Tuple& lrow = left.Row(l, &row_scratch);
     match_ids.clear();
     for (const auto& plan : plans) {
       bool pass = true;
@@ -1424,27 +1203,27 @@ Result<Relation> QueryExecutor::DisjunctiveHashJoin(sql::JoinType type,
       }
       continue;
     }
-    for (size_t r : match_ids) {
-      out.rows.push_back(Tuple::Concat(lrow, right.rows[r]));
-    }
+    for (size_t r : match_ids) out.rows.push_back(right.AppendedTo(lrow, r));
   }
   stats_.rows_joined += out.rows.size();
   return out;
 }
 
-Result<Relation> QueryExecutor::NestedLoopJoin(sql::JoinType type,
-                                               Relation& left, Relation& right,
-                                               const sql::Expr& on) {
-  Relation out;
+Result<QueryExecutor::Source> QueryExecutor::NestedLoopJoin(
+    sql::JoinType type, const Source& left, const Source& right,
+    const sql::Expr& on) {
+  Source out;
   out.schema = RelSchema::Concat(left.schema, right.schema);
   SILK_ASSIGN_OR_RETURN(BoundExprPtr pred, BindExpr(on, out.schema));
   ++stats_.nested_loop_joins;
   const size_t right_width = right.schema.size();
-  for (const auto& lrow : left.rows) {
+  Tuple left_scratch;
+  for (size_t l = 0; l < left.size(); ++l) {
     SILK_RETURN_IF_ERROR(CheckDeadline());
+    const Tuple& lrow = left.Row(l, &left_scratch);
     bool matched = false;
-    for (const auto& rrow : right.rows) {
-      Tuple combined = Tuple::Concat(lrow, rrow);
+    for (size_t r = 0; r < right.size(); ++r) {
+      Tuple combined = right.AppendedTo(lrow, r);
       if (pred->Test(combined) == Tribool::kTrue) {
         matched = true;
         out.rows.push_back(std::move(combined));
@@ -1459,9 +1238,7 @@ Result<Relation> QueryExecutor::NestedLoopJoin(sql::JoinType type,
 }
 
 Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
-                                   const RelSchema& preproj_schema,
-                                   const std::vector<Tuple>& preproj_rows,
-                                   Relation* result) {
+                                   const Source& preproj, Relation* result) {
   const size_t n = result->rows.size();
   // Bind each key against the output schema; fall back to the
   // pre-projection schema (single-core queries only).
@@ -1484,8 +1261,8 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
             {nullptr, o.ascending, false, static_cast<int>(*idx)});
         continue;
       }
-      if (query.cores.size() == 1 && preproj_rows.size() == n) {
-        idx = preproj_schema.Resolve(c.qualifier(), c.name());
+      if (query.cores.size() == 1 && preproj.size() == n) {
+        idx = preproj.schema.Resolve(c.qualifier(), c.name());
         if (idx.ok()) {
           bound_keys.push_back(
               {nullptr, o.ascending, true, static_cast<int>(*idx)});
@@ -1498,8 +1275,8 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
       bound_keys.push_back({std::move(out_bound).value(), o.ascending, false});
       continue;
     }
-    if (query.cores.size() == 1 && preproj_rows.size() == n) {
-      auto pre_bound = BindExpr(*o.expr, preproj_schema);
+    if (query.cores.size() == 1 && preproj.size() == n) {
+      auto pre_bound = BindExpr(*o.expr, preproj.schema);
       if (pre_bound.ok()) {
         bound_keys.push_back({std::move(pre_bound).value(), o.ascending, true});
         continue;
@@ -1508,6 +1285,16 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
     return Status::InvalidArgument("cannot resolve ORDER BY key '" +
                                    o.expr->ToSql() + "'");
   }
+
+  // Cell of a direct-column key in row i: read in place from the output,
+  // or gathered from the pre-projection source into `*tmp`.
+  auto key_cell = [&](const Key& k, size_t i, Value* tmp) -> const Value& {
+    const size_t col = static_cast<size_t>(k.direct_col);
+    if (!k.from_preprojection) return result->rows[i].values()[col];
+    *tmp = preproj.Cell(i, col);
+    return *tmp;
+  };
+  Value tmp;
 
   // Fast path: at most two keys, all direct columns holding only non-null
   // numerics (the shape the view composer's skolem-key ORDER BYs take).
@@ -1519,11 +1306,8 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
                   [](const Key& k) { return k.direct_col >= 0; })) {
     bool numeric = true;
     for (const auto& k : bound_keys) {
-      const std::vector<Tuple>& src =
-          k.from_preprojection ? preproj_rows : result->rows;
-      const size_t col = static_cast<size_t>(k.direct_col);
       for (size_t i = 0; i < n && numeric; ++i) {
-        const Value& v = src[i].values()[col];
+        const Value& v = key_cell(k, i, &tmp);
         // Tiebreaker-carrying magnitudes (>= 2^53) must take the byte
         // path: the word alone would order them differently.
         if (!(v.is_int64() || v.is_double()) || !NumericFitsWord(v)) {
@@ -1543,10 +1327,7 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
         uint64_t words[2] = {0, 0};
         for (size_t j = 0; j < bound_keys.size(); ++j) {
           const Key& k = bound_keys[j];
-          const Tuple& row =
-              k.from_preprojection ? preproj_rows[i] : result->rows[i];
-          uint64_t bits = OrderedNumericBits(
-              row.values()[static_cast<size_t>(k.direct_col)]);
+          uint64_t bits = OrderedNumericBits(key_cell(k, i, &tmp));
           words[j] = k.ascending ? bits : ~bits;
         }
         recs[i] = {words[0], words[1], static_cast<uint32_t>(i)};
@@ -1577,12 +1358,11 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
   // in one flat buffer; `ends[i]` marks where row i's key stops.
   std::string buf;
   std::vector<size_t> ends(n + 1, 0);
+  Tuple row_scratch;
   auto encode_key = [&](size_t i, std::string* out) {
     for (const auto& k : bound_keys) {
-      const Tuple& row =
-          k.from_preprojection ? preproj_rows[i] : result->rows[i];
       if (k.direct_col >= 0) {
-        const Value& v = row.values()[static_cast<size_t>(k.direct_col)];
+        const Value& v = key_cell(k, i, &tmp);
         if (k.ascending) {
           EncodeValue(v, out);
         } else {
@@ -1590,7 +1370,9 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
         }
         continue;
       }
-      Value v = k.expr->Eval(row);
+      Value v = k.expr->Eval(k.from_preprojection
+                                 ? preproj.Row(i, &row_scratch)
+                                 : result->rows[i]);
       if (k.ascending) {
         EncodeValue(v, out);
       } else {

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -136,74 +137,84 @@ class QueryExecutor : public SqlExecutor {
   void ResetStats() { stats_ = ExecStats(); }
 
  private:
+  /// What an operator reads: owned rows (derived tables, join outputs), or
+  /// a base table read in place through its columns — every row, or only
+  /// the row ids in `ids` (an index probe's or a filter's survivors, in
+  /// scan order). No base row is copied up front: cells become Values only
+  /// where a row is built (join output, projection, SELECT *, ORDER BY
+  /// keys), and join keys encode straight from the columns.
+  struct Source {
+    RelSchema schema;
+    std::vector<Tuple> rows;       // owned rows; unused when `table` is set
+    const Table* table = nullptr;  // base table read in place
+    std::optional<std::vector<uint32_t>> ids;  // table rows kept, in order
+
+    size_t size() const {
+      if (table == nullptr) return rows.size();
+      return ids ? ids->size() : table->num_rows();
+    }
+    size_t RowId(size_t i) const { return ids ? (*ids)[i] : i; }
+    /// Cell `col` of row i, as a fresh Value.
+    Value Cell(size_t i, size_t col) const;
+    /// Appends every cell of row i to `out`.
+    void AppendRow(size_t i, Tuple* out) const;
+    /// Row i: the owned tuple, or gathered into `*scratch`.
+    const Tuple& Row(size_t i, Tuple* scratch) const;
+    /// `prefix` followed by row i (one join output row).
+    Tuple AppendedTo(const Tuple& prefix, size_t i) const;
+    /// Join key over `cols` of row i (key_codec.h); false on a NULL cell.
+    bool EncodeKey(size_t i, const std::vector<size_t>& cols,
+                   std::string* out) const;
+  };
+
   /// `allow_fusion` permits the final greedy join to skip materializing its
   /// wide output (see JoinFromList); the caller clears it when ORDER BY may
   /// need the aligned pre-projection rows.
   Result<Relation> ExecuteCore(const sql::SelectCore& core, bool allow_fusion);
-  Result<Relation> EvalTableRef(const sql::TableRef& ref);
-  Result<Relation> EvalJoin(const sql::JoinRef& join);
-  Result<Relation> JoinRelations(sql::JoinType type, Relation left,
-                                 Relation right, const sql::Expr& on);
-  /// `left_table` / `right_table`, when non-null, are the base tables
-  /// whose rows() the corresponding row span borrows (borrowed scans in
-  /// JoinFromList): join keys for that side are then encoded straight
-  /// from the table's columns (EncodeTableJoinKey), byte-identical to the
-  /// row path, so probes, chains, and stats never change.
-  Result<Relation> HashJoin(sql::JoinType type, const RelSchema& left_schema,
-                            const std::vector<Tuple>& left_rows,
-                            const RelSchema& right_schema,
-                            const std::vector<Tuple>& right_rows,
-                            const std::vector<std::pair<size_t, size_t>>& keys,
-                            const sql::Expr* residual,
-                            const Table* left_table = nullptr,
-                            const Table* right_table = nullptr);
-  Result<Relation> DisjunctiveHashJoin(sql::JoinType type, Relation& left,
-                                       Relation& right, const sql::Expr& on);
-  Result<Relation> NestedLoopJoin(sql::JoinType type, Relation& left,
-                                  Relation& right, const sql::Expr& on);
-  /// Returns the joined relation. When the whole FROM list reduces to one
-  /// unfiltered base-table scan, the returned relation's `rows` stay empty
-  /// and `*borrowed_rows` points at the table's own rows instead (stable
-  /// for the executor's lifetime — the database outlives the query), so
-  /// single-table queries never copy the table. Otherwise `*borrowed_rows`
-  /// is null and the rows are owned as usual. `*borrowed_table` is the
-  /// table behind `*borrowed_rows` — downstream operators may read cells
-  /// straight from its columns; null when nothing is borrowed.
+  /// A base table in place, every row, nothing counted yet.
+  Result<Source> TableSource(const sql::BaseTableRef& ref) const;
+  Result<Source> EvalTableRef(const sql::TableRef& ref);
+  Result<Source> EvalJoin(const sql::JoinRef& join);
+  Result<Source> JoinRelations(sql::JoinType type, const Source& left,
+                               const Source& right, const sql::Expr& on);
+  /// Builds on `right`, probes with `left`. Emits the full concatenated
+  /// rows, or — when `project` is set (inner join, no residual) — only the
+  /// wide-schema columns it lists, in that order (projection fusion). The
+  /// output schema is the concatenated one either way.
+  Result<Source> HashJoin(sql::JoinType type, const Source& left,
+                          const Source& right,
+                          const std::vector<std::pair<size_t, size_t>>& keys,
+                          const sql::Expr* residual,
+                          const std::vector<size_t>* project = nullptr);
+  Result<Source> DisjunctiveHashJoin(sql::JoinType type, const Source& left,
+                                     const Source& right, const sql::Expr& on);
+  Result<Source> NestedLoopJoin(sql::JoinType type, const Source& left,
+                                const Source& right, const sql::Expr& on);
+  /// Joins the FROM list. A single base table comes back in place (its
+  /// columns plus the row ids its filters kept), so single-table queries
+  /// never copy the table.
   ///
   /// When `allow_fusion` is set, the select list is all column refs, and no
-  /// residual predicate survives the joins, the final greedy join emits
-  /// row-id pairs and the projection is applied straight off the input
-  /// rows: the wide concatenated tuples are never built. In that case
-  /// `*fused` is set and the returned rows carry the *projected* values in
-  /// select-list order (while `schema` still describes the wide shape for
-  /// expression binding).
-  Result<Relation> JoinFromList(const sql::SelectCore& core, bool allow_fusion,
-                                const std::vector<Tuple>** borrowed_rows,
-                                const Table** borrowed_table, bool* fused);
-  /// Inner hash join emitting (left row id, right row id) pairs in the same
-  /// order HashJoin would emit rows, without materializing output tuples.
-  Result<std::vector<std::pair<uint32_t, uint32_t>>> HashJoinPairs(
-      const std::vector<Tuple>& left_rows, const std::vector<Tuple>& right_rows,
-      const std::vector<std::pair<size_t, size_t>>& keys,
-      const Table* left_table = nullptr, const Table* right_table = nullptr);
-  Status MaterializeBaseTable(const Table& table,
-                              const std::vector<const sql::Expr*>& filters,
-                              Relation* out);
-  /// Columnar filtered scan that defers row materialization: when no index
-  /// probe applies and every filter compiles to a column-vs-literal
-  /// predicate, evaluates the predicates over the table's columns and
-  /// records the surviving row ids (ascending) in `scan_selection_`,
-  /// setting `scan_selection_active_`. Returns true when the selection path
-  /// ran; false means the caller must materialize rows the usual way.
-  /// Callers that keep the selection borrow the table's rows and let the
-  /// projection gather survivor cells straight from the columns — the
-  /// full-width survivor tuples are never copied.
-  Result<bool> TryColumnarSelectionScan(
-      const Table& table, const std::vector<const sql::Expr*>& filters,
-      const RelSchema& schema);
-  Status ApplyOrderBy(const sql::Query& query,
-                      const RelSchema& preproj_schema,
-                      const std::vector<Tuple>& preproj_rows,
+  /// residual predicate survives the joins, the final greedy join projects
+  /// straight off its inputs: the wide concatenated tuples are never built.
+  /// In that case `*fused` is set and the returned rows carry the
+  /// *projected* values in select-list order (while `schema` still
+  /// describes the wide shape for expression binding).
+  Result<Source> JoinFromList(const sql::SelectCore& core, bool allow_fusion,
+                              bool* fused);
+  /// Counts the scan of base-table source `src` and narrows it to the rows
+  /// passing every filter: through an index probe when a literal equality
+  /// has an index, else compiled column predicates over the typed arrays,
+  /// else bound expressions.
+  Status ScanBaseTable(const std::vector<const sql::Expr*>& filters,
+                       Source* src);
+  /// Keeps the rows of `src` passing every filter, in order.
+  Status FilterSource(const std::vector<const sql::Expr*>& filters,
+                      Source* src);
+  /// `preproj` is the latest core's FROM/WHERE source, aligned 1:1 with
+  /// `result`'s rows, so single-core ORDER BY can reference non-projected
+  /// columns; an empty source when no aligned one exists.
+  Status ApplyOrderBy(const sql::Query& query, const Source& preproj,
                       Relation* result);
 
   Status CheckDeadline() const;
@@ -214,20 +225,8 @@ class QueryExecutor : public SqlExecutor {
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
 
-  // Rows of the pre-projection relation aligned 1:1 with the latest core's
-  // output rows, so ORDER BY can reference non-projected columns.
-  // last_preprojection_rows_ points at last_preprojection_.rows when owned,
-  // or straight at a base table's rows when the scan was borrowed; null
-  // when no aligned pre-projection exists.
-  Relation last_preprojection_;
-  const std::vector<Tuple>* last_preprojection_rows_ = nullptr;
-
-  // Survivor row ids produced by TryColumnarSelectionScan for the
-  // current core, valid only while scan_selection_active_ is set. ExecuteCore
-  // consumes (moves) the vector immediately after JoinFromList returns, so
-  // recursive cores (derived tables) can never observe a stale selection.
-  std::vector<uint32_t> scan_selection_;
-  bool scan_selection_active_ = false;
+  // The latest core's pre-projection source (see ApplyOrderBy).
+  Source last_preprojection_;
 };
 
 /// SqlExecutor over a local Database: a fresh QueryExecutor per call, so

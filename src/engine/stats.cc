@@ -1,5 +1,6 @@
 #include "engine/stats.h"
 
+#include <string_view>
 #include <unordered_set>
 
 #include "relational/value.h"
@@ -18,34 +19,34 @@ DatabaseStats DatabaseStats::Collect(const Database& db) {
     ts.row_count = table.num_rows();
     ts.columns.resize(num_cols);
 
-    std::vector<std::unordered_set<Value, ValueHash>> distinct(num_cols);
-    std::vector<size_t> null_counts(num_cols, 0);
-    std::vector<size_t> width_sums(num_cols, 0);
-
-    for (const Tuple& row : table.rows()) {
-      for (size_t c = 0; c < num_cols; ++c) {
-        const Value& v = row[c];
-        width_sums[c] += v.ByteSize();
-        if (v.is_null()) {
-          ++null_counts[c];
-        } else {
-          distinct[c].insert(v);
-        }
-      }
-    }
-
+    // One pass per column over the typed arrays. String cells are
+    // deduplicated as views into the column's pool, numeric cells as
+    // Values, so an int64 3 and a double 3.0 in one kDouble column count
+    // once, as Value equality says.
     double row_width = 0;
     for (size_t c = 0; c < num_cols; ++c) {
+      const ColumnVector& cells = table.columns().column(c);
+      std::unordered_set<std::string_view> strings;
+      std::unordered_set<Value, ValueHash> numbers;
+      size_t nulls = 0;
+      for (size_t r = 0; r < cells.size(); ++r) {
+        if (cells.IsNull(r)) {
+          ++nulls;
+        } else if (cells.type() == DataType::kString) {
+          strings.insert(cells.StringAt(r));
+        } else {
+          numbers.insert(cells.ValueAt(r));
+        }
+      }
       ColumnStats& cs = ts.columns[c];
-      cs.distinct_count = distinct[c].size();
+      cs.distinct_count = strings.size() + numbers.size();
       cs.null_fraction =
-          ts.row_count == 0
-              ? 0.0
-              : static_cast<double>(null_counts[c]) / ts.row_count;
+          ts.row_count == 0 ? 0.0
+                            : static_cast<double>(nulls) / ts.row_count;
       cs.avg_width_bytes =
           ts.row_count == 0
               ? 8.0
-              : static_cast<double>(width_sums[c]) / ts.row_count;
+              : static_cast<double>(cells.ByteSize()) / ts.row_count;
       row_width += cs.avg_width_bytes;
       stats.column_index_[name][table.schema().column(c).name] = c;
     }

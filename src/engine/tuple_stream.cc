@@ -158,7 +158,7 @@ Status ParseWireRow(std::string_view buffer, size_t* offset, WireRow* row) {
       [row](const WireField& f) { row->fields.push_back(f); });
 }
 
-Result<Tuple> DeserializeTuple(const std::string& buffer, size_t* offset) {
+Result<Tuple> DeserializeTuple(std::string_view buffer, size_t* offset) {
   Tuple tuple;
   SILK_RETURN_IF_ERROR(ParseRow(
       buffer, offset,

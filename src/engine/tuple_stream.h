@@ -61,7 +61,7 @@ void SerializeTuple(const Tuple& tuple, std::string* out);
 Status ParseWireRow(std::string_view buffer, size_t* offset, WireRow* row);
 
 /// Deserializes one tuple starting at `*offset`; advances `*offset`.
-Result<Tuple> DeserializeTuple(const std::string& buffer, size_t* offset);
+Result<Tuple> DeserializeTuple(std::string_view buffer, size_t* offset);
 
 class TupleStream {
  public:

@@ -1,5 +1,7 @@
 #include "relational/columnar.h"
 
+#include <bit>
+
 namespace silkroute {
 
 void ColumnVector::Reserve(size_t additional) {
@@ -44,10 +46,14 @@ void ColumnVector::Append(const Value& v) {
   words_.push_back(word);
 }
 
-Value ColumnVector::ValueAt(size_t i) const {
-  if (IsNull(i)) return Value::Null();
-  if (type_ == DataType::kString) return Value::String(std::string(StringAt(i)));
-  return CellIsInt64(i) ? Value::Int64(Int64At(i)) : Value::Double(DoubleAt(i));
+size_t ColumnVector::ByteSize() const {
+  size_t nulls = 0;
+  for (uint64_t word : nulls_) {
+    nulls += static_cast<size_t>(std::popcount(word));
+  }
+  const size_t present = size_ - nulls;
+  return nulls + (type_ == DataType::kString ? pool_.size() + 4 * present
+                                             : 8 * present);
 }
 
 ColumnStore::ColumnStore(const TableSchema* schema) {

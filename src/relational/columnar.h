@@ -1,20 +1,21 @@
-// Columnar storage for base tables (DESIGN.md §16). A Table keeps one
-// ColumnStore: its rows column-major as contiguous typed arrays — 8-byte
-// words for numerics, string-pool offsets for strings, plus a null
-// bitmap — so scan filters and join-key encoding run over flat memory
-// instead of dispatching through one std::variant per cell.
+// Columnar storage for base tables (DESIGN.md §16). A Table keeps its rows
+// in one ColumnStore and nowhere else: column-major contiguous typed
+// arrays — 8-byte words for numerics, string-pool offsets for strings,
+// plus a null bitmap — so scan filters and join-key encoding run over flat
+// memory instead of dispatching through one std::variant per cell, and a
+// row exists as a Tuple only where a caller gathers one (Table::Row).
 //
 // Representation invariants the executor relies on:
 //  - Position is the row id. Cell (col, pos) belongs to the table's row
-//    `pos`, in insertion order, exactly as Table::rows()[pos].
+//    `pos`, in insertion order.
 //  - Exact Value round-trip. A kDouble column legally holds int64 cells
 //    (Table::Insert widens the type check, not the value), and the
 //    differential harness demands exact representation identity
 //    (Int64(3) != Double(3.0), -0.0 != 0.0 bitwise). Numeric columns
 //    therefore keep the raw 8-byte payload plus a per-cell int64-subtype
 //    bitmap, never a widened double.
-//  - Append-only. Like the row store, a column never moves or rewrites a
-//    committed cell; string-pool offsets stay valid across growth.
+//  - Append-only. A column never moves or rewrites a committed cell;
+//    string-pool offsets stay valid across growth.
 #ifndef SILKROUTE_RELATIONAL_COLUMNAR_H_
 #define SILKROUTE_RELATIONAL_COLUMNAR_H_
 
@@ -74,8 +75,19 @@ class ColumnVector {
   }
 
   /// Exact Value round-trip of cell `i` (same representation that was
-  /// appended, bit for bit).
-  Value ValueAt(size_t i) const;
+  /// appended, bit for bit). Inline: row gathers call it once per cell.
+  Value ValueAt(size_t i) const {
+    if (IsNull(i)) return Value::Null();
+    if (type_ == DataType::kString) {
+      return Value::String(std::string(StringAt(i)));
+    }
+    return CellIsInt64(i) ? Value::Int64(Int64At(i))
+                          : Value::Double(DoubleAt(i));
+  }
+
+  /// Sum of Value::ByteSize over the cells (1 per NULL, 8 per numeric,
+  /// length + 4 per string), computed without building a Value.
+  size_t ByteSize() const;
 
  private:
   static bool GetBit(const std::vector<uint64_t>& bits, size_t i) {
@@ -98,8 +110,8 @@ class ColumnVector {
   std::string pool_;                 // append-only string bytes
 };
 
-/// The column-major copy of a table: one ColumnVector per schema column,
-/// all of the same length, position == row id.
+/// A table's rows, column-major: one ColumnVector per schema column, all
+/// of the same length, position == row id.
 class ColumnStore {
  public:
   explicit ColumnStore(const TableSchema* schema);
@@ -117,6 +129,12 @@ class ColumnStore {
   /// Exact Value of cell (col, pos).
   Value ValueAt(size_t col, size_t pos) const {
     return columns_[col].ValueAt(pos);
+  }
+
+  /// Appends every cell of row `pos` to `out`, in column order.
+  void AppendRow(size_t pos, Tuple* out) const {
+    out->mutable_values().reserve(out->size() + columns_.size());
+    for (const ColumnVector& c : columns_) out->Append(c.ValueAt(pos));
   }
 
  private:

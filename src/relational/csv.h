@@ -25,7 +25,7 @@ struct CsvLoadOptions {
   bool empty_is_null = true;
   /// Rows to Reserve() in the target table before loading (0 = don't).
   /// LoadCsvFile fills this in automatically with a newline count when
-  /// left at 0, so file loads never grow the row vector incrementally.
+  /// left at 0, so file loads never grow the columns incrementally.
   size_t expected_rows = 0;
 };
 

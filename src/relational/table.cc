@@ -64,23 +64,20 @@ Status Table::Insert(Tuple row) {
                                          schema_.name() + "'");
     }
   }
-  CommitRow(std::move(row));
+  CommitRow(row);
   return Status::OK();
 }
 
 Status Table::InsertUnchecked(Tuple row) {
   SILK_RETURN_IF_ERROR(CheckRow(row));
-  CommitRow(std::move(row));
+  CommitRow(row);
   return Status::OK();
 }
 
-void Table::CommitRow(Tuple row) {
+void Table::CommitRow(const Tuple& row) {
   if (!key_indices_.empty()) key_set_.insert(ExtractKey(row));
-  // Columnar view first (reads go through rows_ until the version bump
-  // publishes the row, so the column append is invisible mid-commit).
   columns_.Append(row);
-  rows_.push_back(std::move(row));
-  IndexRow(rows_.size() - 1);
+  IndexRow(columns_.size() - 1);
   version_.fetch_add(1, std::memory_order_release);
 }
 
@@ -88,10 +85,10 @@ Status Table::CreateIndex(const std::string& column) {
   SILK_ASSIGN_OR_RETURN(size_t position, schema_.ColumnIndex(column));
   Index& index = indexes_[position];
   index.clear();
-  index.reserve(rows_.size());
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    const Value& v = rows_[r][position];
-    if (!v.is_null()) index.emplace(v, r);
+  const ColumnVector& cells = columns_.column(position);
+  index.reserve(cells.size());
+  for (size_t r = 0; r < cells.size(); ++r) {
+    if (!cells.IsNull(r)) index.emplace(cells.ValueAt(r), r);
   }
   return Status::OK();
 }
@@ -105,14 +102,18 @@ const Table::Index* Table::GetIndex(const std::string& column) const {
 
 void Table::IndexRow(size_t row_position) {
   for (auto& [column, index] : indexes_) {
-    const Value& v = rows_[row_position][column];
-    if (!v.is_null()) index.emplace(v, row_position);
+    const ColumnVector& cells = columns_.column(column);
+    if (!cells.IsNull(row_position)) {
+      index.emplace(cells.ValueAt(row_position), row_position);
+    }
   }
 }
 
 size_t Table::DataByteSize() const {
   size_t total = 0;
-  for (const auto& r : rows_) total += r.ByteSize();
+  for (size_t c = 0; c < columns_.num_columns(); ++c) {
+    total += columns_.column(c).ByteSize();
+  }
   return total;
 }
 

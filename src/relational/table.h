@@ -1,13 +1,12 @@
 // Table: an in-memory base relation with schema type-checking and
 // primary-key uniqueness enforcement.
 //
-// Storage is dual-representation (DESIGN.md §16): every committed row
-// lands both in the legacy row vector (`rows()`, which borrowed scans,
-// secondary indexes, and intermediate-result copies read) and in one
-// column-major ColumnStore (which scan filters and join-key encoding
-// read), at the same position. The two views are maintained eagerly
-// inside the single CommitRow commit point, so they can never drift and
-// no query-time state transition exists.
+// Storage is one column-major ColumnStore (DESIGN.md §16): it is the only
+// copy of a committed row. Scans, filters, join keys, secondary indexes,
+// and statistics read its typed arrays; Row(pos) gathers one row as a
+// Tuple for callers that need one. Every mutation goes through the single
+// CommitRow commit point, so columns, primary-key set, indexes, and the
+// version counter can never drift.
 #ifndef SILKROUTE_RELATIONAL_TABLE_H_
 #define SILKROUTE_RELATIONAL_TABLE_H_
 
@@ -36,11 +35,18 @@ class Table {
   explicit Table(TableSchema schema);
 
   const TableSchema& schema() const { return schema_; }
-  const std::vector<Tuple>& rows() const { return rows_; }
-  size_t num_rows() const { return rows_.size(); }
+  size_t num_rows() const { return columns_.size(); }
 
-  /// The columnar view: cell (col, r) is rows()[r][col], exactly.
+  /// The rows, column-major; position is the row id.
   const ColumnStore& columns() const { return columns_; }
+
+  /// Gathers row `pos` from the columns: exactly the tuple that was
+  /// inserted there (same Value representation, bit for bit).
+  Tuple Row(size_t pos) const {
+    Tuple row;
+    columns_.AppendRow(pos, &row);
+    return row;
+  }
 
   /// Monotonic mutation counter: bumped once per committed row, on every
   /// insert path (validated and bulk). Since the store is append-only the
@@ -54,7 +60,7 @@ class Table {
 
   /// Rows appended since `version` (the delta a republish must re-read).
   size_t RowsAppendedSince(uint64_t version) const {
-    return version >= rows_.size() ? 0 : rows_.size() - version;
+    return version >= num_rows() ? 0 : num_rows() - version;
   }
 
   /// Builds (or rebuilds) a hash index on one column. Maintained by later
@@ -77,12 +83,10 @@ class Table {
   /// inserts — the paths can never drift.
   Status InsertUnchecked(Tuple row);
 
-  /// Pre-sizes the row vector, primary-key set, every index, and the
-  /// columnar view for `expected_rows` additional rows, so a bulk load
-  /// pays one allocation per container instead of incremental regrowth
-  /// and rehashing.
+  /// Pre-sizes the columns, primary-key set, and every index for
+  /// `expected_rows` additional rows, so a bulk load pays one allocation
+  /// per container instead of incremental regrowth and rehashing.
   void Reserve(size_t expected_rows) {
-    rows_.reserve(rows_.size() + expected_rows);
     columns_.Reserve(expected_rows);
     if (!key_indices_.empty()) {
       key_set_.reserve(key_set_.size() + expected_rows);
@@ -92,7 +96,8 @@ class Table {
     }
   }
 
-  /// Total serialized size of all rows, in bytes.
+  /// Total serialized size of all rows, in bytes (the sum of
+  /// Value::ByteSize over every cell).
   size_t DataByteSize() const;
 
  private:
@@ -109,15 +114,14 @@ class Table {
   /// paths.
   Status CheckRow(const Tuple& row) const;
   void IndexRow(size_t row_position);
-  /// The single mutation commit point: appends the row to the columnar
-  /// view and to the row view, records its primary key, maintains every
-  /// secondary index, and bumps the version counter — all-or-nothing, so
-  /// version/index/key/column state stay in lock step on every insert
-  /// path. Callers have already run CheckRow.
-  void CommitRow(Tuple row);
+  /// The single mutation commit point: appends the row to the columns,
+  /// records its primary key, maintains every secondary index, and bumps
+  /// the version counter — all-or-nothing, so version/index/key/column
+  /// state stay in lock step on every insert path. Callers have already
+  /// run CheckRow.
+  void CommitRow(const Tuple& row);
 
   TableSchema schema_;
-  std::vector<Tuple> rows_;
   ColumnStore columns_{&schema_};
   std::vector<size_t> key_indices_;
   std::unordered_set<Tuple, KeyHash> key_set_;

@@ -5,8 +5,10 @@
 //    kDouble column, -0.0 vs 0.0 bit patterns, and the ±2^53 tiebreaker
 //    magnitudes;
 //  - string-pool stability under interleaved Reserve/append growth;
-//  - Table's dual representation: column position == row id, exact tuple
-//    materialization;
+//  - the column store as the only copy of a row: Table::Row(pos) gives
+//    back exactly the tuple inserted at `pos` (by representation), through
+//    both insert paths; DataByteSize/TotalByteSize read the columns; an
+//    index built after a load equals one maintained across the inserts;
 //  - version()/RowsAppendedSince semantics — the result cache's freshness
 //    key must go conservatively stale on every commit, never wrongly
 //    fresh;
@@ -19,6 +21,8 @@
 //    publishes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -161,17 +165,131 @@ std::unique_ptr<Table> MakeMixedTable(size_t rows) {
   return table;
 }
 
+/// Rows covering every cell representation a table can hold: int64
+/// extremes and the 2^53±1 tiebreaker magnitudes, int64 cells inside a
+/// kDouble column, -0.0 next to 0.0, empty strings, strings holding NUL
+/// bytes, and NULL in every column type. Column corpora have coprime
+/// lengths, so the rows pair each cell with many neighbours.
+std::vector<Tuple> EdgeCaseRows() {
+  const int64_t two53 = int64_t{1} << 53;
+  const std::vector<Value> ints = {
+      Value::Int64(INT64_MIN), Value::Int64(INT64_MAX), Value::Int64(0),
+      Value::Null(),           Value::Int64(-1),        Value::Int64(two53 + 1),
+      Value::Int64(two53 - 1), Value::Int64(-two53 - 1)};
+  const std::vector<Value> doubles = {
+      Value::Double(-0.0),  Value::Double(0.0),
+      Value::Int64(3),      Value::Double(3.0),
+      Value::Null(),        Value::Int64(INT64_MIN),
+      Value::Int64(INT64_MAX), Value::Int64(two53 + 1),
+      Value::Double(9007199254740993.0), Value::Double(-1e300),
+      Value::Double(0.1)};
+  const std::vector<Value> strings = {
+      Value::String(""),
+      Value::Null(),
+      Value::String(std::string("\0", 1)),
+      Value::String(std::string("a\0b", 3)),
+      Value::String("abc"),
+      Value::String(std::string(300, 'x')),
+      Value::String(std::string("\0\0", 2)),
+      Value::String(" ")};
+  std::vector<Tuple> rows;
+  for (size_t r = 0; r < 3 * 11 * 8; ++r) {
+    rows.push_back(Tuple{Value::Int64(static_cast<int64_t>(r)),
+                         ints[r % ints.size()], doubles[r % doubles.size()],
+                         strings[r % strings.size()]});
+  }
+  return rows;
+}
+
+TableSchema EdgeCaseSchema(const std::string& name) {
+  TableSchema schema(name, {{"id", DataType::kInt64, /*nullable=*/false},
+                            {"k", DataType::kInt64, true},
+                            {"d", DataType::kDouble, true},
+                            {"s", DataType::kString, true}});
+  EXPECT_TRUE(schema.SetPrimaryKey({"id"}).ok());
+  return schema;
+}
+
+// The column store is the only copy of a base row, and the independent SQL
+// oracle (tests/reference_sql) reads base rows through Table::Row: every
+// gathered row must be the inserted tuple exactly, compared by
+// representation (Int64(3) is not Double(3.0), -0.0 is not 0.0), whichever
+// insert path committed it.
 TEST(TableColumnsTest, PositionIsRowIdAndCellsAreExact) {
-  auto table = MakeMixedTable(300);
-  const ColumnStore& columns = table->columns();
-  ASSERT_EQ(columns.size(), table->num_rows());
-  ASSERT_EQ(columns.num_columns(), table->schema().num_columns());
-  for (size_t r = 0; r < table->num_rows(); ++r) {
-    // Exact per-cell round-trips vs the row store.
-    const Tuple& row = table->rows()[r];
+  const std::vector<Tuple> inserted = EdgeCaseRows();
+  Table table(EdgeCaseSchema("t"));
+  for (size_t r = 0; r < inserted.size(); ++r) {
+    const Status status = r % 2 == 0 ? table.Insert(inserted[r])
+                                     : table.InsertUnchecked(inserted[r]);
+    ASSERT_TRUE(status.ok()) << "row " << r << ": " << status;
+  }
+  ASSERT_EQ(table.num_rows(), inserted.size());
+  ASSERT_EQ(table.columns().size(), inserted.size());
+  for (size_t r = 0; r < inserted.size(); ++r) {
+    const Tuple row = table.Row(r);
+    ASSERT_EQ(row.size(), inserted[r].size()) << "row " << r;
     for (size_t c = 0; c < row.size(); ++c) {
-      EXPECT_TRUE(ValueIdentical(columns.ValueAt(c, r), row.values()[c]))
+      EXPECT_TRUE(ValueIdentical(row[c], inserted[r][c]))
+          << "row " << r << " col " << c << ": got " << row[c] << ", want "
+          << inserted[r][c];
+      EXPECT_TRUE(ValueIdentical(table.columns().ValueAt(c, r), inserted[r][c]))
           << "row " << r << " col " << c;
+    }
+  }
+}
+
+// relational.db_bytes is Database::TotalByteSize: the sum of
+// Value::ByteSize over every inserted cell, now read off the columns.
+TEST(TableColumnsTest, ByteSizesEqualSumOfInsertedValueSizes) {
+  const std::vector<Tuple> inserted = EdgeCaseRows();
+  Database db;
+  ASSERT_TRUE(db.CreateTable(EdgeCaseSchema("a")).ok());
+  ASSERT_TRUE(db.CreateTable(EdgeCaseSchema("b")).ok());
+  Table* a = *db.GetTable("a");
+  Table* b = *db.GetTable("b");
+  EXPECT_EQ(a->DataByteSize(), 0u);
+  size_t a_bytes = 0;
+  size_t b_bytes = 0;
+  for (size_t r = 0; r < inserted.size(); ++r) {
+    ASSERT_TRUE(a->Insert(inserted[r]).ok());
+    a_bytes += inserted[r].ByteSize();
+    if (r % 3 == 0) {
+      ASSERT_TRUE(b->InsertUnchecked(inserted[r]).ok());
+      b_bytes += inserted[r].ByteSize();
+    }
+  }
+  EXPECT_EQ(a->DataByteSize(), a_bytes);
+  EXPECT_EQ(b->DataByteSize(), b_bytes);
+  EXPECT_EQ(db.TotalByteSize(), a_bytes + b_bytes);
+}
+
+// CreateIndex after a bulk load and IndexRow on every insert both read the
+// columns; they must agree on the row ids behind every key.
+TEST(TableColumnsTest, IndexBuiltAfterLoadMatchesIndexMaintainedOnInsert) {
+  const std::vector<Tuple> inserted = EdgeCaseRows();
+  Table maintained(EdgeCaseSchema("m"));
+  Table built(EdgeCaseSchema("b"));
+  for (const char* column : {"k", "d", "s"}) {
+    ASSERT_TRUE(maintained.CreateIndex(column).ok());
+  }
+  for (const Tuple& row : inserted) {
+    ASSERT_TRUE(maintained.Insert(row).ok());
+    ASSERT_TRUE(built.InsertUnchecked(row).ok());
+  }
+  for (const char* column : {"k", "d", "s"}) {
+    ASSERT_TRUE(built.CreateIndex(column).ok());
+    const Table::Index& want = *maintained.GetIndex(column);
+    const Table::Index& got = *built.GetIndex(column);
+    ASSERT_EQ(got.size(), want.size()) << column;
+    for (const auto& [key, unused] : want) {
+      auto ids = [&key](const Table::Index& index) {
+        std::vector<size_t> out;
+        auto [begin, end] = index.equal_range(key);
+        for (auto it = begin; it != end; ++it) out.push_back(it->second);
+        std::sort(out.begin(), out.end());
+        return out;
+      };
+      EXPECT_EQ(ids(got), ids(want)) << column << " key " << key;
     }
   }
 }
@@ -185,7 +303,7 @@ TEST(TableColumnsTest, VersionAndDeltaSemantics) {
   // Every commit path (validated and unchecked) must move the version,
   // so a cache key snapshotted before the write can only go stale —
   // never wrongly fresh.
-  Tuple copy = table->rows()[0];
+  Tuple copy = table->Row(0);
   ASSERT_TRUE(table->InsertUnchecked(std::move(copy)).ok());
   EXPECT_EQ(table->version(), v0 + 1);
   EXPECT_EQ(table->RowsAppendedSince(v0), 1u);
@@ -234,7 +352,7 @@ TEST(TableColumnsTest, MalformedRowIsRejectedOnBothInsertPaths) {
     EXPECT_EQ(table->GetIndex("a")->size(), indexed) << "row " << i;
   }
 
-  // The table still serves queries from both representations.
+  // The table still serves queries.
   engine::QueryExecutor executor(&db);
   auto result = executor.ExecuteSql("SELECT t.b FROM t WHERE t.a = 3");
   ASSERT_TRUE(result.ok()) << result.status();
@@ -283,7 +401,7 @@ TEST(ColumnarE2ETest, MutationInterleavedRepublishStaysByteIdentical) {
       auto table = db->GetTable(victim);
       ASSERT_TRUE(table.ok());
       if ((*table)->num_rows() > 0) {
-        Tuple row = (*table)->rows()[rng() % (*table)->num_rows()];
+        Tuple row = (*table)->Row(rng() % (*table)->num_rows());
         ASSERT_TRUE((*table)->InsertUnchecked(std::move(row)).ok());
         ++mutations;
       }

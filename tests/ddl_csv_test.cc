@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "relational/csv.h"
 #include "sql/ddl.h"
@@ -126,8 +127,8 @@ TEST(CsvTest, LoadsTypedRows) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   auto table = db.GetTable("Supplier");
   ASSERT_TRUE(table.ok());
-  const auto& rows = (*table)->rows();
-  ASSERT_EQ(rows.size(), 2u);
+  ASSERT_EQ((*table)->num_rows(), 2u);
+  const std::vector<Tuple> rows = {(*table)->Row(0), (*table)->Row(1)};
   EXPECT_EQ(rows[0][1].AsString(), "Acme, Inc");
   EXPECT_TRUE(rows[0][3].is_null());  // empty nullable column
   EXPECT_DOUBLE_EQ(rows[1][2].AsDouble(), -3.25);
@@ -165,7 +166,7 @@ TEST(CsvTest, EmptyFieldSemantics) {
   auto r = LoadCsv(&strings, CsvLoadOptions{}, "Nation", &db);
   ASSERT_TRUE(r.ok()) << r.status();
   auto nation = db.GetTable("Nation");
-  EXPECT_EQ((*nation)->rows()[0][1].AsString(), "");
+  EXPECT_EQ((*nation)->Row(0)[1].AsString(), "");
   // Empty field in a non-nullable INT column: type error.
   std::istringstream ints("nationkey,name\n,FRANCE\n");
   auto r2 = LoadCsv(&ints, CsvLoadOptions{}, "Nation", &db);

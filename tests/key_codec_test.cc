@@ -263,7 +263,7 @@ TEST(KeyCodecTest, OrderedNumericBitsMatchesCompare) {
 // --- Column-array encoding (the columnar fast path) -----------------------
 // EncodeColumnValue reads cells straight out of ColumnVector storage instead
 // of materializing a Value; the executor mixes both paths freely inside one
-// hash join (row-store probe vs columnar build), so the two encoders must be
+// hash join (owned-row probe vs base-table build), so the two encoders must be
 // byte-identical over the full type corpus — including int64 cells smuggled
 // into kDouble columns and the ±2^53 tiebreaker regime.
 
@@ -308,7 +308,7 @@ TEST(KeyCodecTest, ColumnEncodingIsByteIdenticalToValueEncoding) {
   auto table = MakeCorpusTable();
   for (size_t g = 0; g < table->num_rows(); ++g) {
     for (size_t c = 0; c < 3; ++c) {
-      const Value& v = table->rows()[g].values()[c];
+      const Value v = table->Row(g)[c];
       std::string from_value, from_column;
       EncodeValue(v, &from_value);
       EncodeColumnValue(table->columns(), c, g, &from_column);
@@ -349,7 +349,7 @@ TEST(KeyCodecTest, TableJoinKeyMatchesTupleJoinKeyIncludingNullRefusal) {
   for (size_t g = 0; g < table->num_rows(); ++g) {
     for (const auto& cols : col_sets) {
       std::string from_tuple, from_table;
-      const bool ok_tuple = EncodeJoinKey(table->rows()[g], cols, &from_tuple);
+      const bool ok_tuple = EncodeJoinKey(table->Row(g), cols, &from_tuple);
       const bool ok_table = EncodeTableJoinKey(*table, g, cols, &from_table);
       ASSERT_EQ(ok_table, ok_tuple) << "row " << g;
       if (ok_tuple) {

@@ -236,7 +236,9 @@ Result<Relation> EvalTableRef(const Database& db, const sql::TableRef& ref) {
       for (const ColumnDef& col : table->schema().columns()) {
         rel.columns.push_back({base.binding_name(), col.name});
       }
-      rel.rows = table->rows();
+      for (size_t r = 0; r < table->num_rows(); ++r) {
+        rel.rows.push_back(table->Row(r));
+      }
       return rel;
     }
     case sql::TableRef::Kind::kJoin: {

@@ -1,7 +1,8 @@
 // A deliberately naive SQL evaluator: the independent oracle behind
 // differential_test. It shares nothing with the engine under test (no
 // planner, no key codec, no columnar storage, no expression binder from
-// src/engine) — only the SQL parser, Value, and Table::rows(). Every
+// src/engine) — only the SQL parser, Value, and Table::Row() (its exact
+// round-trip is pinned by columnar_test against the inserted tuples). Every
 // operator is the textbook definition, written for obviousness:
 //
 //  - FROM items are combined by nested loops (cross product), and each

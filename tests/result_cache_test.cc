@@ -291,7 +291,7 @@ TEST(ResultCacheE2ETest, SingleTableDeltaReexecutesOnlyDirtyComponents) {
   const std::string victim = "Region";
   auto table = db->GetTable(victim);
   ASSERT_TRUE(table.ok());
-  Tuple delta_row = (*table)->rows().front();
+  Tuple delta_row = (*table)->Row(0);
   ASSERT_TRUE((*table)->InsertUnchecked(std::move(delta_row)).ok());
 
   size_t dirty = 0;
@@ -380,7 +380,7 @@ TEST(ResultCacheE2ETest, DifferentialHarnessInterleavesMutationsAndPublishes) {
       auto table = db->GetTable(victim);
       ASSERT_TRUE(table.ok());
       if ((*table)->num_rows() > 0) {
-        Tuple row = (*table)->rows()[rng() % (*table)->num_rows()];
+        Tuple row = (*table)->Row(rng() % (*table)->num_rows());
         ASSERT_TRUE((*table)->InsertUnchecked(std::move(row)).ok());
         ++mutations;
       }
